@@ -23,10 +23,8 @@ from .fileio import (actuation_to_dict, config_hash, config_to_dict,
                      dumps_canonical, read_config_json, read_curve_csv,
                      read_raw_points_csv, write_curve_csv, write_json,
                      write_profile_csv)
-from .matching import (MatchParams, _full_deflection_angles, analysis_profile,
-                       match_shape)
-from .model import (ActuationState, ManipulatorConfig, WarmStartCache, forward,
-                    solve_equilibrium)
+from .matching import MatchParams, analysis_profile, match_shape
+from .model import ActuationState, ManipulatorConfig, solve_equilibrium
 from .search import corresponding_centers
 from .svgplot import Panel, Series, render_panels
 
@@ -119,6 +117,12 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _absolute_threshold(threshold_rel: float, profile) -> float:
+    """Sign-change threshold as ``threshold_rel`` of the largest valid |tau|."""
+    tau_abs = np.abs(profile.tau[profile.kappa_valid])
+    return threshold_rel * float(tau_abs.max()) if tau_abs.size else 0.0
+
+
 def cmd_analyze(args) -> int:
     config = _load_config(args)
     curve = read_curve_csv(args.curve)
@@ -126,8 +130,7 @@ def cmd_analyze(args) -> int:
     profile = analysis_profile(curve, config, params, n_samples=args.samples)
     threshold = None
     if args.threshold_rel is not None:
-        tau_abs = np.abs(profile.tau[profile.kappa_valid])
-        threshold = args.threshold_rel * float(tau_abs.max()) if tau_abs.size else 0.0
+        threshold = _absolute_threshold(args.threshold_rel, profile)
     changes = torsion_sign_changes(profile, config.disk_arc_positions_mm, threshold)
     out = _out_dir(args)
     manifest = RunManifest(
@@ -217,7 +220,7 @@ def _overlay_panels(target_curve, shape, config, title: str) -> list[Panel]:
 def cmd_match(args) -> int:
     config = _load_config(args)
     target = read_curve_csv(args.target)
-    params = MatchParams(sign_change_threshold=None)
+    params = MatchParams()
     out = _out_dir(args)
     manifest = RunManifest(
         command="match",
@@ -226,28 +229,16 @@ def cmd_match(args) -> int:
         overrides={"threshold_rel": args.threshold_rel},
     )
     if args.threshold_rel is not None:
-        profile = analysis_profile(target, config, params)
-        tau_abs = np.abs(profile.tau[profile.kappa_valid])
-        thr = args.threshold_rel * float(tau_abs.max()) if tau_abs.size else 0.0
-        params = MatchParams(sign_change_threshold=thr)
+        params = MatchParams(sign_change_threshold=_absolute_threshold(
+            args.threshold_rel, analysis_profile(target, config, params)))
 
     result = match_shape(target, config, params)
     write_json(out / "match_result.json", result.to_dict())
     manifest.outputs.append("match_result.json")
 
     # one overlay per pipeline stage, echoing the iterative-overlay figures
-    cache = WarmStartCache()
-    final = ActuationState(result.tendon_mm, result.disk_angles_deg)
-    tip_disk = config.n_disks - 1
-    stages = [
-        ("step2", ActuationState(result.tendon_mm, tuple(
-            _full_deflection_angles(result.hypotheses, config)))),
-        ("step3", final.with_angle(tip_disk, 0.0)),
-        ("step4", final),
-    ]
-    for name, act in stages:
-        shape = forward(config, act, cache)
-        svg = render_panels(_overlay_panels(target, shape, config,
+    for name, stage in result.stages.items():
+        svg = render_panels(_overlay_panels(target, stage.shape, config,
                                             f"target vs attained after {name}"))
         (out / f"overlay_{name}.svg").write_text(svg)
         manifest.outputs.append(f"overlay_{name}.svg")
@@ -264,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulator and shape matcher for a disk-rerouted "
                     "tendon-driven continuum manipulator")
     parser.add_argument("--version", action="version", version=f"diskrod {__version__}")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for synthetic generators (current commands "
-                             "are deterministic; accepted for compatibility)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="solve one equilibrium shape")

@@ -45,6 +45,8 @@ def dumps_canonical(obj) -> str:
         if isinstance(node, (int, np.integer)):
             return str(int(node))
         if isinstance(node, (float, np.floating)):
+            if not np.isfinite(node):
+                raise ValueError(f"JSON has no value for the non-finite float {node}")
             return format_float(float(node))
         return json.dumps(node)
 
@@ -152,8 +154,3 @@ def config_hash(config: ManipulatorConfig) -> str:
 def actuation_to_dict(actuation: ActuationState) -> dict:
     return {"tendon_mm": actuation.tendon_mm,
             "disk_angles_deg": list(actuation.disk_angles_deg)}
-
-
-def actuation_from_dict(d: dict) -> ActuationState:
-    return ActuationState(tendon_mm=float(d.get("tendon_mm", 0.0)),
-                          disk_angles_deg=tuple(d.get("disk_angles_deg", (0.0,) * 9)))

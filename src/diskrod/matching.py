@@ -10,7 +10,7 @@ fine-tunes the penultimate disk for the tip region.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import make_smoothing_spline
@@ -62,17 +62,35 @@ class MatchParams:
 
 
 @dataclass(frozen=True, eq=False)
+class MatchStage:
+    """Actuation a matching step ended on and the equilibrium solved for it."""
+
+    actuation: ActuationState
+    shape: Shape
+
+
+@dataclass(frozen=True, eq=False)
 class MatchResult:
     hypotheses: list[DiskHypothesis]
-    tendon_mm: float
-    disk_angles_deg: tuple[float, ...]
     step2_trace: SearchTrace
     step3_traces: list[SearchTrace]
     step4_trace: SearchTrace
+    stages: dict[str, MatchStage]  # "step2", "step3", "step4", in order
     shape_rmse_cm: float
     curvature_rmse_per_cm: float
     tip_error_mm: float
-    attained_shape: Shape
+
+    @property
+    def tendon_mm(self) -> float:
+        return self.stages["step4"].actuation.tendon_mm
+
+    @property
+    def disk_angles_deg(self) -> tuple[float, ...]:
+        return self.stages["step4"].actuation.disk_angles_deg
+
+    @property
+    def attained_shape(self) -> Shape:
+        return self.stages["step4"].shape
 
     def to_dict(self) -> dict:
         return {
@@ -209,14 +227,14 @@ def step2_tendon(target: Curve3D, hyps: list[DiskHypothesis],
 
 def step3_angles(target: Curve3D, hyps: list[DiskHypothesis], tendon_mm: float,
                  config: ManipulatorConfig, params: MatchParams = MatchParams(),
-                 cache: WarmStartCache | None = None,
-                 angles_out: list[float] | None = None) -> list[SearchTrace]:
+                 cache: WarmStartCache | None = None
+                 ) -> tuple[list[SearchTrace], list[float]]:
     """Per-disk rotation magnitudes, proximal to distal, against shape RMSE.
 
     While solving disk i the objective is restricted to disks 1..i+2 (its
     zone of influence) except for the last hypothesis, which matches the
     whole disk chain.  Later hypotheses hold full deflection until their
-    turn.  Solved angles are written into ``angles_out`` when given.
+    turn.  Returns one trace per searched disk and the solved disk angles.
     """
     cache = cache if cache is not None else WarmStartCache()
     target_centers = corresponding_centers(target, config.n_disks)
@@ -247,9 +265,7 @@ def step3_angles(target: Curve3D, hyps: list[DiskHypothesis], tendon_mm: float,
         trace = golden_section(objective, spec, seed_points=[abs(angles[hyp.disk_index - 1])])
         angles[hyp.disk_index - 1] = sign * trace.best_x
         traces.append(trace)
-    if angles_out is not None:
-        angles_out[:] = angles
-    return traces
+    return traces, angles
 
 
 def step4_tip(target: Curve3D, state: ActuationState, config: ManipulatorConfig,
@@ -283,32 +299,28 @@ def match_shape(target: Curve3D, config: ManipulatorConfig,
     cache = WarmStartCache()
     hyps = step1_identify(target, config, params)
     trace2 = step2_tendon(target, hyps, config, params, cache)
-    tendon_mm = float(trace2.best_x)
+    state2 = ActuationState(tendon_mm=float(trace2.best_x),
+                            disk_angles_deg=tuple(_full_deflection_angles(hyps, config)))
 
-    angles = _full_deflection_angles(hyps, config)
-    traces3 = step3_angles(target, hyps, tendon_mm, config, params, cache,
-                           angles_out=angles)
-    state = ActuationState(tendon_mm=tendon_mm, disk_angles_deg=tuple(angles))
+    traces3, angles = step3_angles(target, hyps, state2.tendon_mm, config, params, cache)
+    state3 = replace(state2, disk_angles_deg=tuple(angles))
 
-    trace4 = step4_tip(target, state, config, params, cache)
-    tip_disk = config.n_disks - 1
-    state = state.with_angle(tip_disk, float(trace4.best_x))
+    trace4 = step4_tip(target, state3, config, params, cache)
+    state4 = state3.with_angle(config.n_disks - 1, float(trace4.best_x))
 
-    try:
-        attained = forward(config, state, cache)
-    except SolverNotConverged as exc:
-        raise _relabel("final", exc) from exc
+    # each step's search evaluated its end state, so these are cache hits
+    stages = {name: MatchStage(state, forward(config, state, cache))
+              for name, state in (("step2", state2), ("step3", state3), ("step4", state4))}
+    attained = stages["step4"].shape
     target_profile = analysis_profile(target, config, params)
     return MatchResult(
         hypotheses=hyps,
-        tendon_mm=state.tendon_mm,
-        disk_angles_deg=state.disk_angles_deg,
         step2_trace=trace2,
         step3_traces=traces3,
         step4_trace=trace4,
+        stages=stages,
         shape_rmse_cm=rmse_shape(target, attained, (0, config.n_disks), config.n_disks),
         curvature_rmse_per_cm=rmse_curvature(
             target_profile, _shape_profile(attained, config, params)),
         tip_error_mm=tip_error(target, attained, config.n_disks),
-        attained_shape=attained,
     )

@@ -132,7 +132,7 @@ class ActuationState:
             raise ValueError(
                 f"tendon_mm must be in [0, {TENDON_MAX_MM:g}], got {self.tendon_mm}")
         for i, a in enumerate(self.disk_angles_deg):
-            if abs(a) > DISK_ANGLE_MAX_DEG:
+            if not abs(a) <= DISK_ANGLE_MAX_DEG:  # also rejects NaN
                 raise ValueError(
                     f"disk angle {i + 1} = {a} deg outside +/-{DISK_ANGLE_MAX_DEG:g}")
 
@@ -186,15 +186,25 @@ def _propagate(psi: np.ndarray, config: ManipulatorConfig):
     return positions, frames
 
 
-def _hole_polyline(positions, frames, config, actuation) -> np.ndarray:
-    """Tendon hole positions: base anchor plus one hole per disk."""
-    theta = np.deg2rad(actuation.disk_angles_deg)
-    r = config.tendon_hole_radius_mm
-    holes = np.empty((config.n_disks + 1, 3))
-    holes[0] = positions[0] + frames[0] @ _radial(0.0, r)
-    for i, node in enumerate(config.disk_node_indices):
-        holes[i + 1] = positions[node] + frames[node] @ _radial(theta[i], r)
-    return holes
+def _disk_rows(positions, frames, config: ManipulatorConfig):
+    """Base-plate row plus one row per disk, picked from the node arrays."""
+    rows = np.concatenate(([0], config.disk_node_indices))
+    return positions[rows], frames[rows]
+
+
+def _tendon_holes(centers, frames, theta_rad, radius: float):
+    """Hole positions (base anchor first) and the per-disk radial offsets.
+
+    ``centers``/``frames`` hold the base-plate row plus disks 1..n; the base
+    anchor sits at angle zero, disk i's hole at ``theta_rad[i]``.
+    """
+    radials = np.empty((len(theta_rad), 3))
+    for i, theta in enumerate(theta_rad):
+        radials[i] = frames[i + 1] @ _radial(theta, radius)
+    holes = np.empty((len(theta_rad) + 1, 3))
+    holes[0] = centers[0] + frames[0] @ _radial(0.0, radius)
+    holes[1:] = centers[1:] + radials
+    return holes, radials
 
 
 def _polyline_length(holes: np.ndarray) -> float:
@@ -208,19 +218,19 @@ def slack_path_length(config: ManipulatorConfig, actuation: ActuationState) -> f
     positions = np.zeros((n_nodes, 3))
     positions[:, 2] = -np.arange(n_nodes) * config.element_length_mm
     frames = np.broadcast_to(np.eye(3), (n_nodes, 3, 3))
-    return _polyline_length(_hole_polyline(positions, frames, config, actuation))
+    holes, _ = _tendon_holes(*_disk_rows(positions, frames, config),
+                             np.deg2rad(actuation.disk_angles_deg),
+                             config.tendon_hole_radius_mm)
+    return _polyline_length(holes)
 
 
 def tendon_hole_positions(shape: Shape, config: ManipulatorConfig,
                           actuation: ActuationState) -> np.ndarray:
     """Hole positions on the (possibly deformed) shape, base anchor first."""
     _check_actuation(config, actuation)
-    theta = np.deg2rad(actuation.disk_angles_deg)
-    r = config.tendon_hole_radius_mm
-    holes = np.empty((config.n_disks + 1, 3))
-    holes[0] = shape.disk_centers[0] + shape.disk_frames[0] @ _radial(0.0, r)
-    for i in range(config.n_disks):
-        holes[i + 1] = shape.disk_centers[i + 1] + shape.disk_frames[i + 1] @ _radial(theta[i], r)
+    holes, _ = _tendon_holes(shape.disk_centers, shape.disk_frames,
+                             np.deg2rad(actuation.disk_angles_deg),
+                             config.tendon_hole_radius_mm)
     return holes
 
 
@@ -257,14 +267,8 @@ def _energy_and_gradient(psi_flat: np.ndarray, config: ManipulatorConfig,
     e_gravity = -_GRAV_MJ * float(node_masses @ (positions @ gravity))
 
     # tendon path through holes at the current deformation
-    r = config.tendon_hole_radius_mm
-    disk_nodes = config.disk_node_indices
-    holes = np.empty((config.n_disks + 1, 3))
-    holes[0] = positions[0] + frames[0] @ _radial(0.0, r)
-    radials = np.empty((config.n_disks, 3))
-    for i, node in enumerate(disk_nodes):
-        radials[i] = frames[node] @ _radial(theta_rad[i], r)
-        holes[i + 1] = positions[node] + radials[i]
+    holes, radials = _tendon_holes(*_disk_rows(positions, frames, config),
+                                   theta_rad, config.tendon_hole_radius_mm)
     edges = np.diff(holes, axis=0)
     edge_len = np.linalg.norm(edges, axis=1)
     path = float(edge_len.sum())
@@ -289,7 +293,7 @@ def _energy_and_gradient(psi_flat: np.ndarray, config: ManipulatorConfig,
 
     # backward sweep: force/torque resultants over nodes >= j
     n_nodes = n_el + 1
-    hole_at_node = {int(node): i + 1 for i, node in enumerate(disk_nodes)}
+    hole_at_node = {int(node): i + 1 for i, node in enumerate(config.disk_node_indices)}
     s_force = np.zeros((n_nodes + 1, 3))
     s_torque = np.zeros((n_nodes + 1, 3))
     for j in range(n_nodes - 1, 0, -1):
@@ -333,14 +337,7 @@ def total_energy(dof, config: ManipulatorConfig, actuation: ActuationState) -> f
 
 
 def _make_shape(positions, frames, config: ManipulatorConfig) -> Shape:
-    n_plus = config.n_disks + 1
-    centers = np.empty((n_plus, 3))
-    fr = np.empty((n_plus, 3, 3))
-    centers[0] = positions[0]
-    fr[0] = frames[0]
-    for i, node in enumerate(config.disk_node_indices):
-        centers[i + 1] = positions[node]
-        fr[i + 1] = frames[node]
+    centers, fr = _disk_rows(positions, frames, config)
     # disk 1 shares the clamp with the base plate, so distance checks start at
     # the disk1-disk2 gap; an inextensible backbone can only shorten chords
     seg = config.segment_length_mm

@@ -41,12 +41,14 @@ def test_simulate_roundtrip(tmp_path, config):
                                         "equilibrium_report.json"}
 
 
-def test_simulate_rejects_out_of_bounds_angle(tmp_path, capsys):
-    code = run_cli("simulate", "--disk", "5=-95", "--out-dir", str(tmp_path / "x"))
+@pytest.mark.parametrize("disk", ["5=-95", "5=nan"])
+def test_simulate_rejects_out_of_bounds_angle(tmp_path, capsys, disk):
+    code = run_cli("simulate", "--disk", disk, "--out-dir", str(tmp_path / "x"))
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("ERROR 2:")
     assert "90" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_simulate_rejects_bad_disk_flag(tmp_path, capsys):
@@ -198,12 +200,36 @@ def test_match_deterministic_and_complete(tmp_path, fast_config_path):
     assert "match_result.json" in manifest["outputs"]
 
 
+def test_match_overlays_cost_no_solves(tmp_path, fast_config_path, monkeypatch):
+    import diskrod.model as model
+    from diskrod.matching import match_shape
+    cfg = ManipulatorConfig(elements_per_segment=2)
+    target = solve_equilibrium(
+        cfg, ActuationState(100.0, (0, 0, 0, 0, -70.0, 0, 0, 0, 0))).shape.dense_curve
+    target_path = tmp_path / "target.csv"
+    write_curve_csv(target_path, target.points)
+
+    calls = []
+    solve = model.solve_equilibrium
+    monkeypatch.setattr(model, "solve_equilibrium",
+                        lambda *a, **kw: calls.append(None) or solve(*a, **kw))
+    match_shape(read_curve_csv(target_path), cfg)
+    direct = len(calls)
+    calls.clear()
+    assert run_cli("match", str(target_path), "--config", fast_config_path,
+                   "--out-dir", str(tmp_path / "m")) == 0
+    assert len(calls) == direct
+
+
 def test_canonical_json_formatting():
     text = dumps_canonical({"a": 0.1234567891234, "b": [1.0, 2.5e-7], "c": True})
     assert "0.123456789" in text
     assert "2.5e-07" in text
     again = dumps_canonical(json.loads(text))
     assert again == text  # stable under reparse
+    for bad in (float("nan"), float("inf"), -np.inf):
+        with pytest.raises(ValueError):
+            dumps_canonical({"a": [1.0, bad]})
 
 
 def test_console_script_entrypoint():

@@ -3,10 +3,11 @@ import pytest
 
 from diskrod.curves import CrossingDirection
 from diskrod.matching import (ANGLE_SIGN, DIRECTION_FOR_CROSSING, Direction,
-                              MatchParams, match_shape, step1_identify,
-                              step2_tendon, step3_angles, step4_tip)
+                              MatchParams, analysis_profile, match_shape,
+                              step1_identify, step2_tendon, step3_angles,
+                              step4_tip)
 from diskrod.model import ActuationState, WarmStartCache, forward
-from diskrod.search import rmse_shape, tip_error
+from diskrod.search import rmse_curvature, rmse_shape, tip_error
 from conftest import actuation
 
 
@@ -57,8 +58,10 @@ def test_step1_deferred_distal_crossing(config, solve_cached):
     active = [h for h in hyps if not h.deferred]
     assert len(active) == 1 and active[0].disk_index == 5
     assert all(h.disk_index >= 7 for h in deferred)
-    traces = step3_angles(target, hyps, 100.0, config, cache=WarmStartCache())
+    traces, angles = step3_angles(target, hyps, 100.0, config, cache=WarmStartCache())
     assert len(traces) == len(active)
+    assert abs(angles[4]) == traces[0].best_x
+    assert [a for i, a in enumerate(angles) if i != 4] == [0.0] * 8
 
 
 # ------------------------------------------------------------------- step 2
@@ -140,6 +143,22 @@ def test_match_actuation_bounds(va_match, vb_match):
                 assert 0.0 <= x <= 90.0
         for x, _ in result.step4_trace.evaluations:
             assert -20.0 <= x <= 20.0
+
+
+def test_match_stages_are_step_end_states(vb_target, vb_match, config):
+    assert list(vb_match.stages) == ["step2", "step3", "step4"]
+    step2, step3, step4 = vb_match.stages.values()
+    assert step2.actuation.tendon_mm == step4.actuation.tendon_mm == vb_match.tendon_mm
+    assert step4.actuation.disk_angles_deg == vb_match.disk_angles_deg
+    assert step3.actuation == step4.actuation.with_angle(8, 0.0)
+    active = {h.disk_index - 1 for h in vb_match.hypotheses if not h.deferred}
+    assert all(abs(step2.actuation.disk_angles_deg[i]) == 90.0 for i in active)
+    # each stage shape is the one its step's search scored best
+    profile2 = analysis_profile(step2.shape.dense_curve, config)
+    assert rmse_curvature(analysis_profile(vb_target, config), profile2) == pytest.approx(
+        vb_match.step2_trace.best_f, abs=1e-12)
+    assert rmse_shape(vb_target, step3.shape, (1, 9)) == pytest.approx(
+        vb_match.step3_traces[-1].best_f, abs=1e-12)
 
 
 def test_match_nonzero_angles_only_at_hypotheses_and_tip(va_match):

@@ -42,6 +42,8 @@ def test_actuation_bounds():
         ActuationState(tendon_mm=-1.0)
     with pytest.raises(ValueError):
         actuation(0.0, d5=-95.0)
+    with pytest.raises(ValueError):
+        actuation(0.0, d5=float("nan"))
     ActuationState(tendon_mm=140.0, disk_angles_deg=(90.0,) * 9)  # boundary ok
 
 
