@@ -77,6 +77,13 @@ def _parse_disk_flags(pairs, n_disks: int) -> list[float]:
     return angles
 
 
+def _parse_base_hint(text: str) -> list[float]:
+    hint = [float(v) for v in text.split(",")]
+    if len(hint) != 3 or not np.all(np.isfinite(hint)):
+        raise argparse.ArgumentTypeError(f"expected three finite numbers X,Y,Z, got {text!r}")
+    return hint
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -167,7 +174,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    if args.eps <= 0 or args.min_pts < 1:
+    if not 0.0 < args.eps < np.inf or args.min_pts < 1:  # also rejects NaN
         raise InvalidParams(f"eps={args.eps}, min_pts={args.min_pts}")
     raw = read_raw_points_csv(args.points)
     result = dbscan(raw, eps=args.eps, min_pts=args.min_pts)
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-pts", type=int, default=3)
     p.add_argument("--expect", type=int, default=None,
                    help="expected cluster count; orders centroids from the base")
-    p.add_argument("--base-hint", type=lambda s: [float(v) for v in s.split(",")],
+    p.add_argument("--base-hint", type=_parse_base_hint,
                    default=[0.0, 0.0, 0.0], metavar="X,Y,Z")
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_cluster)

@@ -51,7 +51,7 @@ def dbscan(points: RawPointSet, eps: float, min_pts: int) -> ClusterResult:
     the eps-neighborhood graph; non-core points join the cluster of their
     lowest-indexed core neighbor, or become noise.
     """
-    if eps <= 0 or min_pts < 1:
+    if not 0.0 < eps < np.inf or min_pts < 1:  # also rejects NaN
         raise InvalidParams(f"eps={eps}, min_pts={min_pts}")
     pts = points.points
     n = len(pts)

@@ -40,6 +40,8 @@ class Curve3D:
         object.__setattr__(self, "s", s)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError("points must be an (n, 3) array")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
         if len(pts) < MIN_POINTS:
             raise TooFewPoints(f"need >= {MIN_POINTS} points, got {len(pts)}")
         if s.shape != (len(pts),):
@@ -49,7 +51,7 @@ class Curve3D:
         chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         if np.any(chords <= MIN_CHORD_MM):
             raise DegenerateSegment("consecutive points coincide")
-        if np.any(np.abs(np.diff(s) - chords) > ARC_CONSISTENCY_MM):
+        if not np.all(np.abs(np.diff(s) - chords) <= ARC_CONSISTENCY_MM):  # also NaN
             raise ValueError("s increments must equal chord lengths")
 
     @property

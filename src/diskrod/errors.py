@@ -18,7 +18,7 @@ class TooFewValidSamples(DiskrodError):
 
 
 class InvalidParams(DiskrodError):
-    """Clustering parameters out of range (eps <= 0 or min_pts < 1)."""
+    """Clustering parameters out of range (eps not finite and > 0, or min_pts < 1)."""
 
 
 class ClusterCountMismatch(DiskrodError):

@@ -31,6 +31,7 @@ MAX_ITERATIONS = 5000
 # gravitational energy in mJ = mass[g] * g[m/s^2] * height[mm] * 1e-3
 _GRAV_MJ = 1e-3
 _TANGENT = np.array([0.0, 0.0, -1.0])
+_HESSP_STEP = 1.5e-8  # ~sqrt(machine epsilon): forward-difference step scale
 
 
 @dataclass(frozen=True)
@@ -242,8 +243,12 @@ def tendon_path_length(shape: Shape, config: ManipulatorConfig,
 
 def _energy_and_gradient(psi_flat: np.ndarray, config: ManipulatorConfig,
                          theta_rad: np.ndarray, l_ref: float,
-                         node_masses: np.ndarray, want_grad: bool = True):
+                         node_masses: np.ndarray, want_grad: bool = True,
+                         taut: bool | None = None):
     """Total energy (mJ) and its gradient w.r.t. per-element rotation vectors.
+
+    ``taut`` fixes which side of the slack/taut kink the tendon term is
+    evaluated on; None decides from the stretch.
 
     The gradient treats each element's rotation vector as the coordinate;
     perturbing element k moves everything distal to it rigidly, so the
@@ -273,8 +278,10 @@ def _energy_and_gradient(psi_flat: np.ndarray, config: ManipulatorConfig,
     edge_len = np.linalg.norm(edges, axis=1)
     path = float(edge_len.sum())
     stretch = path - l_ref
+    if taut is None:
+        taut = stretch > 0.0
     k_t = config.tendon_stiffness_n_per_mm
-    e_tendon = 0.5 * k_t * stretch**2 if stretch > 0.0 else 0.0
+    e_tendon = 0.5 * k_t * stretch**2 if taut else 0.0
 
     energy = e_elastic + e_gravity + e_tendon
     if not want_grad:
@@ -283,7 +290,7 @@ def _energy_and_gradient(psi_flat: np.ndarray, config: ManipulatorConfig,
     # point forces dE/dq at nodes (gravity) and holes (tendon)
     g_node = np.outer(node_masses, -_GRAV_MJ * gravity)  # (n_nodes, 3)
     hole_force = np.zeros_like(holes)
-    if stretch > 0.0:
+    if taut:
         tension = k_t * stretch
         unit = np.zeros_like(edges)
         ok = edge_len > 1e-12
@@ -353,35 +360,24 @@ def _make_shape(positions, frames, config: ManipulatorConfig) -> Shape:
     return Shape(disk_centers=centers, disk_frames=fr, dense_curve=dense)
 
 
-def _descent_burst(objective, x: np.ndarray, max_steps: int):
-    """Deterministic backtracking gradient descent; returns (x, steps, done)."""
-    if max_steps <= 0:
-        return x, 0, False
-    energy, grad = objective(x)
-    step = 1e-3
-    used = 0
-    for _ in range(max_steps):
-        gmax = float(np.abs(grad).max())
-        if gmax <= GRAD_TOL_MJ_PER_RAD:
-            return x, used, True
-        used += 1
-        g2 = float(grad @ grad)
-        while step * gmax > 1e-12:
-            trial = x - step * grad
-            e_trial, g_trial = objective(trial)
-            if e_trial <= energy - 1e-4 * step * g2:
-                x, energy, grad = trial, e_trial, g_trial
-                step *= 2.0
-                break
-            step *= 0.5
-        else:
-            return x, used, False  # step underflow: cannot improve
-    return x, used, float(np.abs(grad).max()) <= GRAD_TOL_MJ_PER_RAD
+def _hessian_vector(psi_flat, v, grad, taut: bool, config: ManipulatorConfig,
+                    theta_rad, l_ref: float, node_masses):
+    """Hessian times ``v``: a forward difference of the gradient ``grad`` at
+    ``psi_flat``, with the tendon held on its ``taut`` side at both points."""
+    eps = _HESSP_STEP * (1.0 + np.linalg.norm(psi_flat)) / np.linalg.norm(v)
+    _, g_step, _ = _energy_and_gradient(psi_flat + eps * v, config, theta_rad, l_ref,
+                                        node_masses, taut=taut)
+    return (g_step - grad) / eps
 
 
 def solve_equilibrium(config: ManipulatorConfig, actuation: ActuationState,
                       warm_start: np.ndarray | None = None) -> EquilibriumReport:
-    """Minimize total energy over the rod strains (L-BFGS, analytic gradient).
+    """Minimize total energy over the rod strains (trust-region Newton-Krylov).
+
+    One ``trust-krylov`` solve (GLTR) on the analytic gradient.  Its
+    Hessian-vector products are forward differences of that gradient with
+    the tendon held on the slack or taut side it has at the iterate, so a
+    product never straddles the kink where the tendon goes taut.
 
     Converged means the gradient infinity norm (mJ/rad, w.r.t. per-element
     rotation vectors) is at or below GRAD_TOL_MJ_PER_RAD.  Slow convergence
@@ -402,51 +398,37 @@ def solve_equilibrium(config: ManipulatorConfig, actuation: ActuationState,
     l_ref = slack_path_length(config, actuation) - actuation.tendon_mm
     masses = config.node_masses_g()
 
-    def objective(p):
-        e, g, _ = _energy_and_gradient(p, config, theta, l_ref, masses)
-        return e, g
-
     e0, _, _ = _energy_and_gradient(x, config, theta, l_ref, masses, want_grad=False)
     if not np.isfinite(e0):
         raise NonFiniteEnergy(f"energy at start is {e0}")
 
-    def grad_ok(g) -> bool:
-        return float(np.abs(g).max()) <= GRAD_TOL_MJ_PER_RAD
+    # gradient and tendon side at each point the objective evaluated, so a
+    # Hessian-vector product at an iterate costs one more gradient
+    evaluated = {}
 
-    iterations = 0
-    converged = False
-    for _ in range(8):
-        budget = MAX_ITERATIONS - iterations
-        if budget <= 0:
-            break
-        res = minimize(objective, x, jac=True, method="L-BFGS-B",
-                       options=dict(maxiter=budget, ftol=1e-18,
-                                    gtol=0.3 * GRAD_TOL_MJ_PER_RAD, maxcor=20))
-        iterations += max(int(res.nit), 1)
-        x = res.x
-        _, grad, _ = _energy_and_gradient(x, config, theta, l_ref, masses)
-        if grad_ok(grad):
-            converged = True
-            break
-        # L-BFGS line search stalled; a burst of backtracking descent steps
-        # moves past the tendon-slack kink so the next round can make progress
-        x, used, converged = _descent_burst(
-            objective, x, min(60, MAX_ITERATIONS - iterations))
-        iterations += used
-        if converged:
-            break
+    def objective(p):
+        e, g, path = _energy_and_gradient(p, config, theta, l_ref, masses)
+        evaluated[p.tobytes()] = (g, path > l_ref)
+        return e, g
 
+    def hessp(p, v):
+        return _hessian_vector(p, v, *evaluated[p.tobytes()], config, theta, l_ref, masses)
+
+    res = minimize(objective, x, jac=True, hessp=hessp, method="trust-krylov",
+                   options=dict(maxiter=MAX_ITERATIONS, gtol=0.3 * GRAD_TOL_MJ_PER_RAD))
+    x = res.x
     energy, grad, path = _energy_and_gradient(x, config, theta, l_ref, masses)
     if not np.isfinite(energy):
         raise NonFiniteEnergy(f"energy at solution is {energy}")
+    gradient_inf_norm = float(np.abs(grad).max())
     positions, frames = _propagate(x.reshape(n_el, 3), config)
     shape = _make_shape(positions, frames, config)
     return EquilibriumReport(
         shape=shape,
         energy_mj=float(energy),
-        gradient_inf_norm=float(np.abs(grad).max()),
-        iterations=iterations,
-        converged=converged,
+        gradient_inf_norm=gradient_inf_norm,
+        iterations=int(res.nit),
+        converged=gradient_inf_norm <= GRAD_TOL_MJ_PER_RAD,
         tendon_path_length_mm=float(path),
         dof=(x.reshape(n_el, 3) / length),
     )
@@ -480,11 +462,7 @@ class WarmStartCache:
 
 def forward(config: ManipulatorConfig, actuation: ActuationState,
             cache: WarmStartCache | None = None) -> Shape:
-    """Equilibrium shape for an actuation; warm-started when a cache is given.
-
-    A warm start from a distant state can strand the solver, so a failed
-    warm-started solve is retried cold before giving up.
-    """
+    """Equilibrium shape for an actuation; warm-started when a cache is given."""
     if cache is not None:
         hit = cache.lookup(actuation)
         if hit is not None:
@@ -493,8 +471,6 @@ def forward(config: ManipulatorConfig, actuation: ActuationState,
     else:
         warm = None
     report = solve_equilibrium(config, actuation, warm_start=warm)
-    if not report.converged and warm is not None:
-        report = solve_equilibrium(config, actuation)
     if not report.converged:
         raise SolverNotConverged(
             f"gradient {report.gradient_inf_norm:.3e} mJ/rad after {report.iterations} iterations")

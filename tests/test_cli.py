@@ -110,6 +110,15 @@ def test_analyze_malformed_csv(tmp_path, capsys):
     assert "ERROR 2:" in capsys.readouterr().err
 
 
+def test_analyze_rejects_non_finite_point(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("x_mm,y_mm,z_mm\n0,0,0\n0,0,-10\nnan,0,-20\n0,0,-30\n0,0,-40\n")
+    code = run_cli("analyze", str(bad), "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("ERROR 2:")
+    assert not (tmp_path / "o").exists()
+
+
 def blob_csv(path, n_blobs=10, seed=0):
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, 1.0, n_blobs)
@@ -160,6 +169,21 @@ def test_cluster_invalid_params(tmp_path, capsys):
     code = run_cli("cluster", str(path), "--eps", "-1", "--out-dir",
                    str(tmp_path / "cl"))
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--eps", "nan", "--expect", "10"],
+    ["--eps", "inf"],
+    ["--eps", "5", "--min-pts", "4", "--expect", "10", "--base-hint", "nan,0,0"],
+    ["--eps", "5", "--min-pts", "4", "--expect", "10", "--base-hint", "1,2"],
+], ids=["eps-nan", "eps-inf", "hint-nan", "hint-two-values"])
+def test_cluster_rejects_bad_params_before_writing(tmp_path, capsys, flags):
+    path = tmp_path / "raw.csv"
+    blob_csv(path)
+    code = run_cli("cluster", str(path), *flags, "--out-dir", str(tmp_path / "cl"))
+    assert code == 2
+    assert "ERROR 2:" in capsys.readouterr().err
+    assert not (tmp_path / "cl").exists()
 
 
 def test_match_truncated_target(tmp_path, capsys):

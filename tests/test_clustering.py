@@ -86,6 +86,9 @@ def test_invalid_params():
         dbscan(raw, eps=0.0, min_pts=3)
     with pytest.raises(InvalidParams):
         dbscan(raw, eps=1.0, min_pts=0)
+    for eps in (float("nan"), float("inf")):
+        with pytest.raises(InvalidParams):
+            dbscan(raw, eps=eps, min_pts=3)
 
 
 def test_permutation_invariance():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diskrod.curves import (CrossingDirection, CTProfile, SmoothingParams,
+from diskrod.curves import (CrossingDirection, CTProfile, Curve3D, SmoothingParams,
                             arc_length_parameterize, ct_profile, fd_weights,
                             smooth_profile, torsion_sign_changes)
 from diskrod.errors import DegenerateSegment, TooFewPoints, TooFewValidSamples
@@ -34,6 +34,18 @@ def test_arc_length_too_few_points():
 def test_arc_length_degenerate_segment():
     with pytest.raises(DegenerateSegment):
         arc_length_parameterize([(0, 0, 0), (1, 0, 0), (1, 0, 0), (2, 0, 0)])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_curve_rejects_non_finite_points(bad):
+    pts = [(0, 0, 0), (1, 0, 0), (2, bad, 0), (3, 0, 0)]
+    with pytest.raises(ValueError, match="finite"):
+        arc_length_parameterize(pts)
+    with pytest.raises(ValueError, match="finite"):
+        Curve3D(points=pts, s=[0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        Curve3D(points=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)],
+                s=[0.0, 1.0, bad, 3.0])
 
 
 # ----------------------------------------------------- finite-difference core

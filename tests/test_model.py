@@ -10,7 +10,7 @@ from diskrod.model import (ActuationState, ManipulatorConfig, WarmStartCache,
                            forward, slack_path_length, solve_equilibrium,
                            tendon_hole_positions, tendon_path_length,
                            total_energy)
-from diskrod.model import _energy_and_gradient
+from diskrod.model import _energy_and_gradient, _hessian_vector
 from conftest import actuation
 
 
@@ -165,6 +165,30 @@ def test_gradient_matches_finite_differences(config):
         eu, _, _ = _energy_and_gradient(up, config, theta, l_ref, masses, want_grad=False)
         ed, _, _ = _energy_and_gradient(dn, config, theta, l_ref, masses, want_grad=False)
         assert grad[i] == pytest.approx((eu - ed) / (2 * h), rel=1e-5, abs=1e-8)
+
+
+@pytest.mark.parametrize("tendon_mm, seed, taut", [(80.0, 3, True), (0.0, 4, False)],
+                         ids=["taut", "slack"])
+def test_hessian_vector_matches_central_difference(config, tendon_mm, seed, taut):
+    act = actuation(tendon_mm, d4=50.0, d7=-30.0)
+    args = (np.deg2rad(act.disk_angles_deg),
+            slack_path_length(config, act) - act.tendon_mm, config.node_masses_g())
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(0.0, 0.04, 3 * config.n_elements)
+    v = rng.normal(size=psi.size)
+    _, grad, path = _energy_and_gradient(psi, config, *args)
+    assert (path > args[1]) == taut
+    hv = _hessian_vector(psi, v, grad, taut, config, *args)
+    h = 1e-6
+    _, g_up, _ = _energy_and_gradient(psi + h * v, config, *args)
+    _, g_dn, _ = _energy_and_gradient(psi - h * v, config, *args)
+    central = (g_up - g_dn) / (2 * h)
+    np.testing.assert_allclose(hv, central, rtol=1e-4, atol=1e-4 * np.abs(central).max())
+    # taut=None decides the side from the stretch: same bits as naming it
+    default = _energy_and_gradient(psi, config, *args)
+    named = _energy_and_gradient(psi, config, *args, taut=taut)
+    assert default[0] == named[0] and default[2] == named[2]
+    assert np.array_equal(default[1], named[1])
 
 
 # -------------------------------------------------------------- equilibrium
@@ -373,6 +397,23 @@ def test_solver_budget_reports_not_converged(config, monkeypatch):
     assert not report.converged  # reported, not raised
     with pytest.raises(SolverNotConverged):
         forward(config, actuation(100.0, d5=-70.0))
+
+
+@pytest.mark.parametrize("tendon_mm, disks, warm_from_mm", [
+    (135.2, {}, None),
+    (124.5, {"d2": -11.8, "d3": -63.1}, None),
+    (101.9, {"d5": -48.7, "d8": -66.1}, None),
+    # minimizers on the slack/taut kink, reached from a taut warm start
+    (0.0, {"d8": -5.0}, 0.26871302156994825),
+    (0.0, {"d2": -45.0}, 2.0),
+], ids=["straight-135.2", "124.5-d2-d3", "101.9-d5-d8", "kink-warm-d8", "kink-warm-d2"])
+def test_solver_reaches_gradient_tolerance(config, tendon_mm, disks, warm_from_mm):
+    warm = None
+    if warm_from_mm is not None:
+        warm = solve_equilibrium(config, actuation(warm_from_mm, **disks)).dof
+    report = solve_equilibrium(config, actuation(tendon_mm, **disks), warm_start=warm)
+    assert report.converged
+    assert report.gradient_inf_norm <= model.GRAD_TOL_MJ_PER_RAD
 
 
 def test_concurrent_forward_calls(config):
