@@ -84,6 +84,13 @@ def _parse_base_hint(text: str) -> list[float]:
     return hint
 
 
+def _parse_threshold_rel(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < np.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -275,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="curvature/torsion profile of a curve CSV")
     p.add_argument("curve", help="curve CSV (x_mm,y_mm,z_mm)")
     p.add_argument("--config", help="manipulator config JSON")
-    p.add_argument("--threshold-rel", type=float, default=None,
+    p.add_argument("--threshold-rel", type=_parse_threshold_rel, default=None,
                    help="sign-change threshold as a fraction of max |tau|")
     p.add_argument("--samples", type=int, default=None,
                    help="arc-uniform profile samples (default: one per disk; "
@@ -284,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("cluster", help="cluster repeated measurements into centroids")
-    p.add_argument("points", help="raw points CSV (x_mm,y_mm,z_mm[,disk])")
+    p.add_argument("points", help="raw points CSV (x_mm,y_mm,z_mm; further columns are ignored)")
     p.add_argument("--eps", type=float, default=8.0)
     p.add_argument("--min-pts", type=int, default=3)
     p.add_argument("--expect", type=int, default=None,
@@ -297,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="recover actuation matching a target curve")
     p.add_argument("target", help="target curve CSV")
     p.add_argument("--config", help="manipulator config JSON")
-    p.add_argument("--threshold-rel", type=float, default=None)
+    p.add_argument("--threshold-rel", type=_parse_threshold_rel, default=None,
+                   help="sign-change threshold as a fraction of max |tau|")
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_match)
     return parser

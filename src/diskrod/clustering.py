@@ -17,10 +17,9 @@ from .errors import ClusterCountMismatch, InvalidParams
 
 @dataclass(frozen=True, eq=False)
 class RawPointSet:
-    """Unordered measurement points, optionally tagged with a disk label."""
+    """Unordered measurement points."""
 
-    points: np.ndarray              # (n, 3), mm
-    labels: np.ndarray | None = None  # (n,) ints, -1 = unlabeled
+    points: np.ndarray  # (n, 3), mm
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -29,11 +28,6 @@ class RawPointSet:
             raise ValueError("points must be a non-empty (n, 3) array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
-        if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=int)
-            if labels.shape != (len(pts),):
-                raise ValueError("labels must match points in length")
-            object.__setattr__(self, "labels", labels)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,7 @@ uniform arc grid -> torsion zero crossings mapped to disk positions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import make_smoothing_spline
@@ -61,6 +61,11 @@ class Curve3D:
     @property
     def length(self) -> float:
         return float(self.s[-1])
+
+    def at(self, s_values) -> np.ndarray:
+        """Points linearly interpolated at arc positions ``s_values`` (mm)."""
+        return np.column_stack([np.interp(s_values, self.s, self.points[:, k])
+                                for k in range(3)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,15 +135,8 @@ class SmoothingParams:
 def arc_length_parameterize(points) -> Curve3D:
     """Build a Curve3D from ordered samples using cumulative chord length."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("points must be an (n, 3) array")
-    if len(pts) < MIN_POINTS:
-        raise TooFewPoints(f"need >= {MIN_POINTS} points, got {len(pts)}")
-    chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    if np.any(chords <= MIN_CHORD_MM):
-        raise DegenerateSegment("consecutive points coincide")
-    s = np.concatenate(([0.0], np.cumsum(chords)))
-    return Curve3D(points=pts, s=s)
+    chords = np.linalg.norm(np.diff(pts, axis=0), axis=-1)
+    return Curve3D(points=pts, s=np.concatenate(([0.0], np.cumsum(chords))))
 
 
 def fd_weights(x: np.ndarray, z: float, max_order: int) -> np.ndarray:
@@ -184,8 +182,6 @@ def ct_profile(curve: Curve3D) -> CTProfile:
     """
     pts, s = curve.points, curve.s
     n = len(pts)
-    if n < MIN_POINTS:
-        raise TooFewPoints(f"curvature/torsion profile needs >= {MIN_POINTS} points")
     w5_size = min(5, n)  # a 4-point curve still determines a third derivative
     kappa = np.zeros(n)
     tau = np.zeros(n)
@@ -220,17 +216,8 @@ def smooth_profile(profile: CTProfile, smoothing: SmoothingParams = SmoothingPar
     n_valid = int(np.count_nonzero(profile.kappa_valid))
     if n_valid < 4:
         raise TooFewValidSamples(f"torsion channel has {n_valid} valid samples, needs >= 4")
-    grid = np.linspace(profile.s[0], profile.s[-1], smoothing.grid_points)
-    # GCV's lambda selection is sensitive to the abscissa scale; fit on the
-    # arc coordinate rescaled to [0, 1]
-    span = profile.s[-1] - profile.s[0]
-
-    def rescale(s):
-        return (s - profile.s[0]) / span
-
-    kappa_fit = make_smoothing_spline(rescale(profile.s), profile.kappa,
-                                      lam=smoothing.lam)
-    kappa_g = np.clip(kappa_fit(rescale(grid)), 0.0, None)
+    curvature = smooth_curvature(profile, smoothing)
+    grid = curvature.s
 
     sv = profile.s[profile.kappa_valid]
     tv = profile.tau[profile.kappa_valid].copy()
@@ -240,11 +227,35 @@ def smooth_profile(profile: CTProfile, smoothing: SmoothingParams = SmoothingPar
         if reliable.any() and not reliable.all():
             ceiling = float(np.abs(tv[reliable]).max())
             tv = np.clip(tv, -ceiling, ceiling)
-    tau_fit = make_smoothing_spline(rescale(sv), tv, lam=smoothing.lam)
     in_range = (grid >= sv[0]) & (grid <= sv[-1])
     tau_g = np.zeros_like(grid)
-    tau_g[in_range] = tau_fit(rescale(grid[in_range]))
-    return CTProfile(s=grid, kappa=kappa_g, tau=tau_g, kappa_valid=in_range)
+    tau_g[in_range] = _spline_fit(sv, tv, grid[in_range], profile.s, smoothing.lam)
+    return CTProfile(s=grid, kappa=curvature.kappa, tau=tau_g, kappa_valid=in_range)
+
+
+def smooth_curvature(profile: CTProfile,
+                     smoothing: SmoothingParams = SmoothingParams()) -> CTProfile:
+    """Curvature-only smoothed profile on a uniform arc grid.
+
+    The curvature channel of ``smooth_profile``; tau keeps the 0 sentinel and
+    no grid point is valid.
+    """
+    grid = np.linspace(profile.s[0], profile.s[-1], smoothing.grid_points)
+    kappa = np.clip(_spline_fit(profile.s, profile.kappa, grid, profile.s, smoothing.lam),
+                    0.0, None)
+    return CTProfile(s=grid, kappa=kappa, tau=np.zeros_like(grid),
+                     kappa_valid=np.zeros(len(grid), dtype=bool))
+
+
+def _spline_fit(s, values, at, arc, lam: float | None) -> np.ndarray:
+    """Smoothing spline through ``(s, values)``, evaluated at ``at``.
+
+    GCV's lambda selection is sensitive to the abscissa scale, so the fit
+    runs on the arc coordinate with ``arc``'s range rescaled to [0, 1].
+    """
+    s0, span = arc[0], arc[-1] - arc[0]
+    fit = make_smoothing_spline((s - s0) / span, values, lam=lam)
+    return fit((at - s0) / span)
 
 
 def _crossings_in_run(s, tau, idx):

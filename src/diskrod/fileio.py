@@ -67,7 +67,8 @@ def write_curve_csv(path, points) -> None:
             writer.writerow([format_float(v) for v in row])
 
 
-def read_curve_csv(path) -> Curve3D:
+def _read_points(path) -> np.ndarray:
+    """The x_mm,y_mm,z_mm columns of a points CSV; further columns are ignored."""
     points = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -85,7 +86,12 @@ def read_curve_csv(path) -> Curve3D:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not points:
         raise ValueError(f"{path}: no data rows")
-    return arc_length_parameterize(np.asarray(points))
+    return np.asarray(points)
+
+
+def read_curve_csv(path) -> Curve3D:
+    """Shape CSV, rows in order along the curve."""
+    return arc_length_parameterize(_read_points(path))
 
 
 def write_profile_csv(path, profile: CTProfile) -> None:
@@ -99,32 +105,8 @@ def write_profile_csv(path, profile: CTProfile) -> None:
 
 
 def read_raw_points_csv(path) -> RawPointSet:
-    """Raw-points CSV: x_mm,y_mm,z_mm with an optional disk-label column."""
-    points, labels = [], []
-    saw_label = False
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["x_mm", "y_mm", "z_mm"]:
-            raise ValueError(f"{path}: expected header x_mm,y_mm,z_mm[,disk]")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 3:
-                raise ValueError(f"{path}:{lineno}: expected >= 3 columns")
-            try:
-                points.append([float(v) for v in row[:3]])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if len(row) > 3 and row[3].strip():
-                saw_label = True
-                labels.append(int(row[3]))
-            else:
-                labels.append(-1)
-    if not points:
-        raise ValueError(f"{path}: no data rows")
-    return RawPointSet(points=np.asarray(points),
-                       labels=np.asarray(labels) if saw_label else None)
+    """Raw-points CSV: unordered x_mm,y_mm,z_mm rows; further columns are ignored."""
+    return RawPointSet(points=_read_points(path))
 
 
 def config_to_dict(config: ManipulatorConfig) -> dict:
@@ -138,8 +120,6 @@ def config_from_dict(d: dict) -> ManipulatorConfig:
     unknown = set(d) - known
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    if "gravity_m_per_s2" in d:
-        d = dict(d, gravity_m_per_s2=tuple(d["gravity_m_per_s2"]))
     return ManipulatorConfig(**d)
 
 

@@ -13,11 +13,10 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import make_smoothing_spline
 
 from .curves import (CrossingDirection, CTProfile, Curve3D, SignChange,
                      SmoothingParams, arc_length_parameterize, ct_profile,
-                     smooth_profile, torsion_sign_changes)
+                     smooth_curvature, smooth_profile, torsion_sign_changes)
 from .errors import SolverNotConverged, TooFewValidSamples
 from .model import (TENDON_MAX_MM, ActuationState, ManipulatorConfig, Shape,
                     WarmStartCache, forward)
@@ -137,28 +136,31 @@ def analysis_profile(curve: Curve3D, config: ManipulatorConfig,
         pts = curve.points
     else:
         count = config.n_disks if n_samples is None else n_samples
-        s_values = np.linspace(0.0, curve.length, count)
-        pts = np.column_stack([np.interp(s_values, curve.s, curve.points[:, k])
-                               for k in range(3)])
+        pts = curve.at(np.linspace(0.0, curve.length, count))
     raw = ct_profile(arc_length_parameterize(pts))
     try:
         return smooth_profile(raw, params.smoothing)
     except TooFewValidSamples:
-        grid = np.linspace(raw.s[0], raw.s[-1], params.smoothing.grid_points)
-        span = raw.s[-1] - raw.s[0]
-        fit = make_smoothing_spline((raw.s - raw.s[0]) / span, raw.kappa,
-                                    lam=params.smoothing.lam)
-        kappa = np.clip(fit((grid - raw.s[0]) / span), 0.0, None)
-        return CTProfile(s=grid, kappa=kappa, tau=np.zeros_like(grid),
-                         kappa_valid=np.zeros(len(grid), dtype=bool))
+        return smooth_curvature(raw, params.smoothing)
 
 
-def _shape_profile(shape: Shape, config, params) -> CTProfile:
-    return analysis_profile(shape.dense_curve, config, params)
+def _probe(spec: GoldenSearchSpec, seed: float, state_at, score, label,
+           config: ManipulatorConfig, cache: WarmStartCache) -> SearchTrace:
+    """Golden-section search over one actuation coordinate.
 
+    Each probe ``x`` solves the equilibrium of ``state_at(x)`` and returns
+    ``score(shape)``; a solve that fails is re-raised prefixed by
+    ``label(x)``.  ``seed`` is evaluated first.
+    """
 
-def _relabel(step: str, exc: SolverNotConverged) -> SolverNotConverged:
-    return SolverNotConverged(f"{step}: {exc}")
+    def objective(x: float) -> float:
+        try:
+            shape = forward(config, state_at(x), cache)
+        except SolverNotConverged as exc:
+            raise SolverNotConverged(f"{label(x)}: {exc}") from exc
+        return score(shape)
+
+    return golden_section(objective, spec, seed_points=[seed])
 
 
 def step1_identify(target: Curve3D, config: ManipulatorConfig,
@@ -210,19 +212,16 @@ def step2_tendon(target: Curve3D, hyps: list[DiskHypothesis],
     """
     cache = cache if cache is not None else WarmStartCache()
     target_profile = analysis_profile(target, config, params)
-    angles = _full_deflection_angles(hyps, config)
-
-    def objective(delta: float) -> float:
-        act = ActuationState(tendon_mm=delta, disk_angles_deg=tuple(angles))
-        try:
-            shape = forward(config, act, cache)
-        except SolverNotConverged as exc:
-            raise _relabel(f"step2 (tendon {delta:.2f} mm)", exc) from exc
-        return rmse_curvature(target_profile, _shape_profile(shape, config, params))
-
+    angles = tuple(_full_deflection_angles(hyps, config))
     spec = GoldenSearchSpec(lo=0.0, hi=TENDON_MAX_MM, tol=params.tendon_tol_mm,
                             max_evals=params.max_evals)
-    return golden_section(objective, spec, seed_points=[0.0])
+    return _probe(
+        spec, 0.0,
+        lambda delta: ActuationState(tendon_mm=delta, disk_angles_deg=angles),
+        lambda shape: rmse_curvature(
+            target_profile, analysis_profile(shape.dense_curve, config, params)),
+        lambda delta: f"step2 (tendon {delta:.2f} mm)",
+        config, cache)
 
 
 def step3_angles(target: Curve3D, hyps: list[DiskHypothesis], tendon_mm: float,
@@ -247,22 +246,16 @@ def step3_angles(target: Curve3D, hyps: list[DiskHypothesis], tendon_mm: float,
         hi_disk = config.n_disks if last else min(hyp.disk_index + 2, config.n_disks)
         index_range = (1, hi_disk)
         sign = ANGLE_SIGN[hyp.direction]
-
-        def objective(magnitude: float) -> float:
-            trial = list(angles)
-            trial[hyp.disk_index - 1] = sign * magnitude
-            act = ActuationState(tendon_mm=tendon_mm, disk_angles_deg=tuple(trial))
-            try:
-                shape = forward(config, act, cache)
-            except SolverNotConverged as exc:
-                raise _relabel(f"step3 (disk {hyp.disk_index} at {magnitude:.1f} deg)",
-                               exc) from exc
-            return rmse_shape(target_centers, shape, index_range, config.n_disks)
-
+        entry = ActuationState(tendon_mm=tendon_mm, disk_angles_deg=tuple(angles))
         spec = GoldenSearchSpec(lo=0.0, hi=90.0, tol=params.angle_quantize_deg,
                                 quantize=params.angle_quantize_deg,
                                 max_evals=params.max_evals)
-        trace = golden_section(objective, spec, seed_points=[abs(angles[hyp.disk_index - 1])])
+        trace = _probe(
+            spec, abs(angles[hyp.disk_index - 1]),
+            lambda magnitude: entry.with_angle(hyp.disk_index, sign * magnitude),
+            lambda shape: rmse_shape(target_centers, shape, index_range, config.n_disks),
+            lambda magnitude: f"step3 (disk {hyp.disk_index} at {magnitude:.1f} deg)",
+            config, cache)
         angles[hyp.disk_index - 1] = sign * trace.best_x
         traces.append(trace)
     return traces, angles
@@ -276,21 +269,16 @@ def step4_tip(target: Curve3D, state: ActuationState, config: ManipulatorConfig,
     target_centers = corresponding_centers(target, config.n_disks)
     tip_disk = config.n_disks - 1
     index_range = (config.n_disks - 2, config.n_disks)
-
-    def objective(angle: float) -> float:
-        act = state.with_angle(tip_disk, angle)
-        try:
-            shape = forward(config, act, cache)
-        except SolverNotConverged as exc:
-            raise _relabel(f"step4 (disk {tip_disk} at {angle:.1f} deg)", exc) from exc
-        return rmse_shape(target_centers, shape, index_range, config.n_disks)
-
     b = params.tip_bracket_deg
     spec = GoldenSearchSpec(lo=-b, hi=b, tol=params.angle_quantize_deg,
                             quantize=params.angle_quantize_deg,
                             max_evals=params.max_evals)
-    entry = state.disk_angles_deg[tip_disk - 1]
-    return golden_section(objective, spec, seed_points=[entry])
+    return _probe(
+        spec, state.disk_angles_deg[tip_disk - 1],
+        lambda angle: state.with_angle(tip_disk, angle),
+        lambda shape: rmse_shape(target_centers, shape, index_range, config.n_disks),
+        lambda angle: f"step4 (disk {tip_disk} at {angle:.1f} deg)",
+        config, cache)
 
 
 def match_shape(target: Curve3D, config: ManipulatorConfig,
@@ -321,6 +309,6 @@ def match_shape(target: Curve3D, config: ManipulatorConfig,
         stages=stages,
         shape_rmse_cm=rmse_shape(target, attained, (0, config.n_disks), config.n_disks),
         curvature_rmse_per_cm=rmse_curvature(
-            target_profile, _shape_profile(attained, config, params)),
+            target_profile, analysis_profile(attained.dense_curve, config, params)),
         tip_error_mm=tip_error(target, attained, config.n_disks),
     )

@@ -14,13 +14,14 @@ spaced one segment apart, disk ``n_disks`` is the tip.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .curves import Curve3D
+from .curves import Curve3D, arc_length_parameterize
 from .errors import DimensionMismatch, NonFiniteEnergy, SolverNotConverged
 from .rotations import d_left_jacobian_apply, exp_so3, left_jacobian, right_jacobian
 
@@ -32,6 +33,10 @@ MAX_ITERATIONS = 5000
 _GRAV_MJ = 1e-3
 _TANGENT = np.array([0.0, 0.0, -1.0])
 _HESSP_STEP = 1.5e-8  # ~sqrt(machine epsilon): forward-difference step scale
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -62,12 +67,16 @@ class ManipulatorConfig:
             "tendon_stiffness_n_per_mm": self.tendon_stiffness_n_per_mm,
         }
         for name, value in positives.items():
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
-        if self.n_disks < 2:
-            raise ValueError("n_disks must be >= 2")
-        if self.elements_per_segment < 1:
-            raise ValueError("elements_per_segment must be >= 1")
+            if not (_is_real(value) and value > 0):  # also rejects NaN
+                raise ValueError(f"{name} must be a number > 0, got {value!r}")
+        for name, least in (("n_disks", 2), ("elements_per_segment", 1)):
+            value = getattr(self, name)
+            if not (_is_real(value) and isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        g = self.gravity_m_per_s2
+        if not (isinstance(g, (tuple, list, np.ndarray)) and len(g) == 3
+                and all(_is_real(v) and np.isfinite(v) for v in g)):
+            raise ValueError(f"gravity_m_per_s2 must be three finite numbers, got {g!r}")
         if not (np.isfinite(self.bending_stiffness) and self.bending_stiffness > 0):
             raise ValueError("bending stiffness EI must be finite and positive")
         if not (np.isfinite(self.torsion_stiffness) and self.torsion_stiffness > 0):
@@ -354,10 +363,8 @@ def _make_shape(positions, frames, config: ManipulatorConfig) -> Shape:
     for mat in fr:
         if np.abs(mat @ mat.T - np.eye(3)).max() > 1e-9:
             raise RuntimeError("solver produced a non-orthonormal frame")
-    dense = Curve3D(points=positions.copy(),
-                    s=np.concatenate(([0.0], np.cumsum(
-                        np.linalg.norm(np.diff(positions, axis=0), axis=1)))))
-    return Shape(disk_centers=centers, disk_frames=fr, dense_curve=dense)
+    return Shape(disk_centers=centers, disk_frames=fr,
+                 dense_curve=arc_length_parameterize(positions))
 
 
 def _hessian_vector(psi_flat, v, grad, taut: bool, config: ManipulatorConfig,

@@ -134,10 +134,7 @@ def corresponding_centers(obj, n_disks: int = 9) -> np.ndarray:
         return obj.disk_centers
     if isinstance(obj, Curve3D):
         fractions = np.concatenate(([0.0], np.linspace(0.0, 1.0, n_disks)))
-        s_values = fractions * obj.length
-        return np.column_stack([
-            np.interp(s_values, obj.s, obj.points[:, k]) for k in range(3)
-        ])
+        return obj.at(fractions * obj.length)
     arr = np.asarray(obj, dtype=float)
     if arr.shape != (n_disks + 1, 3):
         raise ValueError(f"expected ({n_disks + 1}, 3) centers, got {arr.shape}")

@@ -153,10 +153,8 @@ def test_criterion_6_single_hypothesis_loop_closure(config):
            + ", ".join(k for k, v in checks.items() if not v))
 
 
-def test_criterion_7_two_hypothesis_loop_closure(config):
-    target = solve_equilibrium(
-        config, actuation(131.0, d4=87.0, d6=-55.0)).shape.dense_curve
-    result = match_shape(target, config)
+def test_criterion_7_two_hypothesis_loop_closure(vb_match):
+    result = vb_match  # no runtime budget: the session's match of this target
     active = sorted((h for h in result.hypotheses if not h.deferred),
                     key=lambda h: h.disk_index)
     trace4 = result.step4_trace

@@ -8,7 +8,7 @@ import pytest
 
 from diskrod.cli import main
 from diskrod.fileio import (config_to_dict, dumps_canonical, read_curve_csv,
-                            write_curve_csv, write_json)
+                            read_raw_points_csv, write_curve_csv, write_json)
 from diskrod.model import ActuationState, ManipulatorConfig, solve_equilibrium
 
 
@@ -146,6 +146,27 @@ def test_cluster_expected_count(tmp_path):
     assert np.abs(got.points - centers).max() <= 2.0  # ordered along the arc
 
 
+def test_cluster_ignores_a_fourth_column(tmp_path):
+    plain = tmp_path / "raw.csv"
+    blob_csv(plain)
+    rows = plain.read_text().splitlines()
+    labelled = tmp_path / "labelled.csv"
+    labelled.write_text("\n".join([rows[0] + ",disk"]
+                                  + [f"{r},{i % 10}" for i, r in enumerate(rows[1:])]) + "\n")
+    for path in (plain, labelled):
+        assert run_cli("cluster", str(path), "--eps", "5", "--min-pts", "4",
+                       "--out-dir", str(tmp_path / path.stem)) == 0
+    for name in ("centroids.csv", "cluster_report.json"):
+        assert ((tmp_path / "raw" / name).read_bytes()
+                == (tmp_path / "labelled" / name).read_bytes())
+
+
+def test_curve_and_raw_point_readers_agree(tmp_path):
+    path = tmp_path / "raw.csv"
+    blob_csv(path)
+    assert np.array_equal(read_curve_csv(path).points, read_raw_points_csv(path).points)
+
+
 def test_cluster_mismatch_exit_code(tmp_path, capsys):
     path = tmp_path / "raw.csv"
     blob_csv(path)
@@ -184,6 +205,34 @@ def test_cluster_rejects_bad_params_before_writing(tmp_path, capsys, flags):
     assert code == 2
     assert "ERROR 2:" in capsys.readouterr().err
     assert not (tmp_path / "cl").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "match"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+def test_threshold_rel_rejected_before_writing(tmp_path, capsys, command, value):
+    curve = tmp_path / "curve.csv"
+    write_curve_csv(curve, [(0, 0, -10.0 * k) for k in range(12)])
+    code = run_cli(command, str(curve), "--threshold-rel", value,
+                   "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    assert "ERROR 2:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_disks", "9"),
+    ("elements_per_segment", 2.5),
+    ("gravity_m_per_s2", [0.0, -9.81]),
+    ("gravity_m_per_s2", [0.0, 0.0, float("nan")]),
+])
+def test_malformed_config_rejected_before_writing(tmp_path, capsys, field, value):
+    cfg = dict(config_to_dict(ManipulatorConfig()), **{field: value})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))  # json.dumps writes NaN as a bare token
+    code = run_cli("simulate", "--config", str(path), "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("ERROR 2:")
+    assert not (tmp_path / "o").exists()
 
 
 def test_match_truncated_target(tmp_path, capsys):

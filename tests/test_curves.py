@@ -36,6 +36,18 @@ def test_arc_length_degenerate_segment():
         arc_length_parameterize([(0, 0, 0), (1, 0, 0), (1, 0, 0), (2, 0, 0)])
 
 
+def test_resample_at_own_arc_positions_is_exact():
+    c = arc_length_parameterize(helix_points(n=50))
+    assert np.array_equal(c.at(c.s), c.points)
+
+
+@pytest.mark.parametrize("bad", [np.zeros(12), np.zeros((4, 2)), np.zeros((4, 3, 1))],
+                         ids=["flat", "two-columns", "three-dims"])
+def test_arc_length_rejects_malformed_arrays(bad):
+    with pytest.raises(ValueError, match=r"\(n, 3\)"):
+        arc_length_parameterize(bad)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_curve_rejects_non_finite_points(bad):
     pts = [(0, 0, 0), (1, 0, 0), (2, bad, 0), (3, 0, 0)]

@@ -35,6 +35,24 @@ def test_config_rejects_nonpositive():
         ManipulatorConfig(elements_per_segment=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_disks", "9"),
+    ("n_disks", 9.0),
+    ("elements_per_segment", 2.5),
+    ("elements_per_segment", True),
+    ("disk_mass_g", "40"),
+    ("disk_mass_g", float("nan")),
+    ("gravity_m_per_s2", (0.0, -9.81)),
+    ("gravity_m_per_s2", (0.0, 0.0, float("nan"))),
+    ("gravity_m_per_s2", (0.0, 0.0, float("inf"))),
+    ("gravity_m_per_s2", -9.81),
+    ("gravity_m_per_s2", "0,0,-9.81"),
+])
+def test_config_rejects_malformed_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        ManipulatorConfig(**{field: value})
+
+
 def test_actuation_bounds():
     with pytest.raises(ValueError):
         ActuationState(tendon_mm=141.0)
@@ -378,8 +396,9 @@ def test_shape_invariants(config, solve_cached):
 
 
 def test_non_finite_energy_raises():
-    cfg = ManipulatorConfig(gravity_m_per_s2=(0.0, 0.0, float("nan")))
-    with pytest.raises(NonFiniteEnergy):
+    # a NaN gravity no longer gets past the config; an overflowing weight does
+    cfg = ManipulatorConfig(disk_mass_g=1e308)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteEnergy):
         solve_equilibrium(cfg, ActuationState(0.0))
 
 
