@@ -91,6 +91,13 @@ def _parse_threshold_rel(text: str) -> float:
     return value
 
 
+def _parse_expect(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -185,6 +192,10 @@ def cmd_cluster(args) -> int:
         raise InvalidParams(f"eps={args.eps}, min_pts={args.min_pts}")
     raw = read_raw_points_csv(args.points)
     result = dbscan(raw, eps=args.eps, min_pts=args.min_pts)
+    if args.expect is not None:
+        centroids = centers_to_curve(result, args.expect, args.base_hint).points
+    else:
+        centroids = result.centroids
     out = _out_dir(args)
     manifest = RunManifest(
         command="cluster",
@@ -192,11 +203,6 @@ def cmd_cluster(args) -> int:
         config_hash="",
         overrides={"eps": args.eps, "min_pts": args.min_pts, "expect": args.expect},
     )
-    if args.expect is not None:
-        curve = centers_to_curve(result, args.expect, args.base_hint)
-        centroids = curve.points
-    else:
-        centroids = result.centroids
     write_curve_csv(out / "centroids.csv", centroids)
     write_json(out / "cluster_report.json", {
         "n_clusters": len(result.clusters),
@@ -235,6 +241,11 @@ def cmd_match(args) -> int:
     config = _load_config(args)
     target = read_curve_csv(args.target)
     params = MatchParams()
+    if args.threshold_rel is not None:
+        params = MatchParams(sign_change_threshold=_absolute_threshold(
+            args.threshold_rel, analysis_profile(target, config, params)))
+
+    result = match_shape(target, config, params)
     out = _out_dir(args)
     manifest = RunManifest(
         command="match",
@@ -242,11 +253,6 @@ def cmd_match(args) -> int:
         config_hash=config_hash(config),
         overrides={"threshold_rel": args.threshold_rel},
     )
-    if args.threshold_rel is not None:
-        params = MatchParams(sign_change_threshold=_absolute_threshold(
-            args.threshold_rel, analysis_profile(target, config, params)))
-
-    result = match_shape(target, config, params)
     write_json(out / "match_result.json", result.to_dict())
     manifest.outputs.append("match_result.json")
 
@@ -294,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("points", help="raw points CSV (x_mm,y_mm,z_mm; further columns are ignored)")
     p.add_argument("--eps", type=float, default=8.0)
     p.add_argument("--min-pts", type=int, default=3)
-    p.add_argument("--expect", type=int, default=None,
+    p.add_argument("--expect", type=_parse_expect, default=None,
                    help="expected cluster count; orders centroids from the base")
     p.add_argument("--base-hint", type=_parse_base_hint,
                    default=[0.0, 0.0, 0.0], metavar="X,Y,Z")

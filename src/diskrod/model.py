@@ -23,7 +23,8 @@ from scipy.optimize import minimize
 
 from .curves import Curve3D, arc_length_parameterize
 from .errors import DimensionMismatch, NonFiniteEnergy, SolverNotConverged
-from .rotations import d_left_jacobian_apply, exp_so3, left_jacobian, right_jacobian
+from .rotations import (coefficients, cross, d_left_jacobian_apply_t, exp_so3,
+                        left_jacobian_apply)
 
 TENDON_MAX_MM = 140.0
 DISK_ANGLE_MAX_DEG = 90.0
@@ -179,21 +180,19 @@ def _check_actuation(config: ManipulatorConfig, actuation: ActuationState) -> No
             f"{len(actuation.disk_angles_deg)} disk angles for {config.n_disks} disks")
 
 
-def _radial(theta_rad: float, radius: float) -> np.ndarray:
-    return np.array([radius * np.cos(theta_rad), radius * np.sin(theta_rad), 0.0])
-
-
 def _propagate(psi: np.ndarray, config: ManipulatorConfig):
-    """Node positions and frames from per-element rotation vectors."""
-    n_el = config.n_elements
-    length = config.element_length_mm
-    positions = np.zeros((n_el + 1, 3))
-    frames = np.zeros((n_el + 1, 3, 3))
+    """Node positions, node frames and the rotation coefficients of the
+    per-element rotation vectors ``psi`` (n_elements, 3)."""
+    coeffs = coefficients(psi)
+    rotations = exp_so3(psi, coeffs)
+    frames = np.empty((len(psi) + 1, 3, 3))
     frames[0] = np.eye(3)
-    for k in range(n_el):
-        frames[k + 1] = frames[k] @ exp_so3(psi[k])
-        positions[k + 1] = positions[k] + frames[k] @ (length * (left_jacobian(psi[k]) @ _TANGENT))
-    return positions, frames
+    for k, rot in enumerate(rotations):
+        np.matmul(frames[k], rot, out=frames[k + 1])
+    steps = config.element_length_mm * left_jacobian_apply(psi, _TANGENT, coeffs)
+    positions = np.zeros((len(psi) + 1, 3))
+    np.cumsum(np.einsum("kij,kj->ki", frames[:-1], steps), axis=0, out=positions[1:])
+    return positions, frames, coeffs
 
 
 def _disk_rows(positions, frames, config: ManipulatorConfig):
@@ -208,13 +207,10 @@ def _tendon_holes(centers, frames, theta_rad, radius: float):
     ``centers``/``frames`` hold the base-plate row plus disks 1..n; the base
     anchor sits at angle zero, disk i's hole at ``theta_rad[i]``.
     """
-    radials = np.empty((len(theta_rad), 3))
-    for i, theta in enumerate(theta_rad):
-        radials[i] = frames[i + 1] @ _radial(theta, radius)
-    holes = np.empty((len(theta_rad) + 1, 3))
-    holes[0] = centers[0] + frames[0] @ _radial(0.0, radius)
-    holes[1:] = centers[1:] + radials
-    return holes, radials
+    theta = np.concatenate(([0.0], theta_rad))
+    local = radius * np.column_stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)])
+    offsets = np.einsum("kij,kj->ki", frames, local)
+    return centers + offsets, offsets[1:]
 
 
 def _polyline_length(holes: np.ndarray) -> float:
@@ -262,9 +258,10 @@ def _energy_and_gradient(psi_flat: np.ndarray, config: ManipulatorConfig,
     The gradient treats each element's rotation vector as the coordinate;
     perturbing element k moves everything distal to it rigidly, so the
     gradient is assembled from running force/torque sums over distal nodes
-    and tendon holes (one backward sweep), plus the local elastic term and
-    the chain rule through the exponential map (right Jacobian) and the
-    translation integral (derivative of the left Jacobian).
+    and tendon holes (one backward sweep of reversed cumulative sums), plus
+    the local elastic term and the chain rule through the exponential map
+    (right Jacobian) and the translation integral (derivative of the left
+    Jacobian), evaluated for all elements at once.
     """
     n_el = config.n_elements
     length = config.element_length_mm
@@ -273,7 +270,7 @@ def _energy_and_gradient(psi_flat: np.ndarray, config: ManipulatorConfig,
     gj = config.torsion_stiffness
     gravity = np.asarray(config.gravity_m_per_s2)
 
-    positions, frames = _propagate(psi, config)
+    positions, frames, coeffs = _propagate(psi, config)
 
     stiff = np.array([ei, ei, gj])
     e_elastic = float(np.sum(psi * psi * stiff) / (2.0 * length))
@@ -297,7 +294,7 @@ def _energy_and_gradient(psi_flat: np.ndarray, config: ManipulatorConfig,
         return energy, None, path
 
     # point forces dE/dq at nodes (gravity) and holes (tendon)
-    g_node = np.outer(node_masses, -_GRAV_MJ * gravity)  # (n_nodes, 3)
+    node_force = np.outer(node_masses, -_GRAV_MJ * gravity)  # (n_nodes, 3)
     hole_force = np.zeros_like(holes)
     if taut:
         tension = k_t * stretch
@@ -307,29 +304,23 @@ def _energy_and_gradient(psi_flat: np.ndarray, config: ManipulatorConfig,
         hole_force[:-1] -= tension * unit
         hole_force[1:] += tension * unit
 
-    # backward sweep: force/torque resultants over nodes >= j
-    n_nodes = n_el + 1
-    hole_at_node = {int(node): i + 1 for i, node in enumerate(config.disk_node_indices)}
-    s_force = np.zeros((n_nodes + 1, 3))
-    s_torque = np.zeros((n_nodes + 1, 3))
-    for j in range(n_nodes - 1, 0, -1):
-        f_j = g_node[j].copy()
-        t_j = np.zeros(3)
-        hi = hole_at_node.get(j)
-        if hi is not None:
-            f_j += hole_force[hi]
-            t_j += np.cross(radials[hi - 1], hole_force[hi])
-        s_force[j] = s_force[j + 1] + f_j
-        s_torque[j] = s_torque[j + 1] + np.cross(positions[min(j + 1, n_nodes - 1)] - positions[j],
-                                                 s_force[j + 1]) + t_j
+    # backward sweep: force/torque resultants over nodes >= j, as reversed
+    # running sums; the torque about node j steps by (p[j+1] - p[j]) x S[j+1]
+    disk_nodes = config.disk_node_indices
+    node_force[disk_nodes] += hole_force[1:]
+    s_force = np.cumsum(node_force[::-1], axis=0)[::-1]
+    node_torque = np.zeros_like(node_force)
+    node_torque[disk_nodes] = cross(radials, hole_force[1:])
+    node_torque[:-1] += cross(np.diff(positions, axis=0), s_force[1:])
+    s_torque = np.cumsum(node_torque[::-1], axis=0)[::-1]
 
+    # chain rule per element k: the translation integral through
+    # d(J_l T)/d(psi_k), the rotation through J_r(psi_k)^T = J_l(psi_k)
+    force_k = np.einsum("kji,kj->ki", frames[:-1], s_force[1:])
+    torque_k = np.einsum("kji,kj->ki", frames[1:], s_torque[1:])
     grad = (psi * stiff) / length
-    for k in range(n_el):
-        fk = frames[k]
-        dlja = d_left_jacobian_apply(psi[k], _TANGENT)
-        jr = right_jacobian(psi[k])
-        grad[k] += length * dlja.T @ (fk.T @ s_force[k + 1])
-        grad[k] += jr.T @ (frames[k + 1].T @ s_torque[k + 1])
+    grad += length * d_left_jacobian_apply_t(psi, _TANGENT, force_k, coeffs)
+    grad += left_jacobian_apply(psi, torque_k, coeffs)
     return energy, grad.reshape(-1), path
 
 
@@ -360,9 +351,8 @@ def _make_shape(positions, frames, config: ManipulatorConfig) -> Shape:
     gaps = np.linalg.norm(np.diff(centers[1:], axis=0), axis=1)
     if np.any(gaps > seg * (1.0 + 1e-9)) or np.any(gaps < 0.5 * seg):
         raise RuntimeError("solver produced an inconsistent disk chain")
-    for mat in fr:
-        if np.abs(mat @ mat.T - np.eye(3)).max() > 1e-9:
-            raise RuntimeError("solver produced a non-orthonormal frame")
+    if np.abs(fr @ fr.transpose(0, 2, 1) - np.eye(3)).max() > 1e-9:
+        raise RuntimeError("solver produced a non-orthonormal frame")
     return Shape(disk_centers=centers, disk_frames=fr,
                  dense_curve=arc_length_parameterize(positions))
 
@@ -428,7 +418,7 @@ def solve_equilibrium(config: ManipulatorConfig, actuation: ActuationState,
     if not np.isfinite(energy):
         raise NonFiniteEnergy(f"energy at solution is {energy}")
     gradient_inf_norm = float(np.abs(grad).max())
-    positions, frames = _propagate(x.reshape(n_el, 3), config)
+    positions, frames, _ = _propagate(x.reshape(n_el, 3), config)
     shape = _make_shape(positions, frames, config)
     return EquilibriumReport(
         shape=shape,

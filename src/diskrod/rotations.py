@@ -1,7 +1,10 @@
-"""Rotation-vector helpers for frame propagation along the rod.
+"""Rotation-vector maps for frame propagation along the rod, batched.
 
-All functions take a rotation vector ``psi`` (axis * angle, radians) and use
-series expansions below ``SMALL_ANGLE`` so they are smooth through psi = 0.
+Every function works on all elements at once: ``psi`` is an ``(n, 3)`` array
+of rotation vectors (axis * angle, radians), one row per element, and the
+results are ``(n, 3, 3)`` matrices or ``(n, 3)`` vectors row for row.  The
+maps take ``coefficients(psi)``, computed once per batch, whose series below
+``SMALL_ANGLE`` keep every map smooth through psi = 0.
 """
 
 from __future__ import annotations
@@ -11,78 +14,78 @@ import numpy as np
 SMALL_ANGLE = 1e-4
 
 
-def hat(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix such that hat(v) @ w == cross(v, w)."""
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
-
-
-def _coeffs(omega: float) -> tuple[float, float, float]:
-    """(sin w/w, (1-cos w)/w^2, (w-sin w)/w^3) with small-angle series."""
-    if omega < SMALL_ANGLE:
-        w2 = omega * omega
-        c1 = 1.0 - w2 / 6.0 + w2 * w2 / 120.0
-        c2 = 0.5 - w2 / 24.0 + w2 * w2 / 720.0
-        c3 = 1.0 / 6.0 - w2 / 120.0 + w2 * w2 / 5040.0
-    else:
-        c1 = np.sin(omega) / omega
-        c2 = (1.0 - np.cos(omega)) / omega**2
-        c3 = (omega - np.sin(omega)) / omega**3
-    return c1, c2, c3
-
-
-def exp_so3(psi: np.ndarray) -> np.ndarray:
-    """Rodrigues formula: rotation matrix of the rotation vector psi."""
-    omega = float(np.linalg.norm(psi))
-    c1, c2, _ = _coeffs(omega)
-    k = hat(psi)
-    return np.eye(3) + c1 * k + c2 * (k @ k)
-
-
-def left_jacobian(psi: np.ndarray) -> np.ndarray:
-    """J_l(psi) = integral of exp(t*hat(psi)) over t in [0, 1]."""
-    omega = float(np.linalg.norm(psi))
-    _, c2, c3 = _coeffs(omega)
-    k = hat(psi)
-    return np.eye(3) + c2 * k + c3 * (k @ k)
-
-
-def right_jacobian(psi: np.ndarray) -> np.ndarray:
-    """J_r(psi) = J_l(psi)^T; maps d(psi) to the body-frame rotation twist."""
-    omega = float(np.linalg.norm(psi))
-    _, c2, c3 = _coeffs(omega)
-    k = hat(psi)
-    return np.eye(3) - c2 * k + c3 * (k @ k)
-
-
-def _dcoeffs_over_omega(omega: float) -> tuple[float, float]:
-    """(c2'(w)/w, c3'(w)/w), series-stabilized; both finite at w = 0."""
-    if omega < SMALL_ANGLE:
-        w2 = omega * omega
-        d2 = -1.0 / 12.0 + w2 / 180.0
-        d3 = -1.0 / 60.0 + w2 / 1260.0
-    else:
-        s, c = np.sin(omega), np.cos(omega)
-        d2 = (omega * s - 2.0 * (1.0 - c)) / omega**4
-        d3 = (omega * (1.0 - c) - 3.0 * (omega - s)) / omega**5
-    return d2, d3
-
-
-def d_left_jacobian_apply(psi: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Jacobian matrix d(J_l(psi) @ a)/d(psi) for a fixed vector a.
-
-    J_l(psi) a = a + c2 (psi x a) + c3 psi x (psi x a); differentiating the
-    coefficients through omega = |psi| and the cross products through psi
-    gives the closed form assembled here.
-    """
-    omega = float(np.linalg.norm(psi))
-    _, c2, c3 = _coeffs(omega)
-    d2, d3 = _dcoeffs_over_omega(omega)
-    pa = np.cross(psi, a)
-    ppa = np.cross(psi, pa)
-    out = -c2 * hat(a) - c3 * (hat(pa) + hat(psi) @ hat(a))
-    out += d2 * np.outer(pa, psi) + d3 * np.outer(ppa, psi)
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of ``(..., 3)`` arrays, written out by component."""
+    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
+    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
+    x = ay * bz - az * by
+    out = np.empty(x.shape + (3,))
+    out[..., 0] = x
+    out[..., 1] = az * bx - ax * bz
+    out[..., 2] = ax * by - ay * bx
     return out
+
+
+def coefficients(psi: np.ndarray):
+    """Per-row ``(c1, c2, c3, d2, d3)`` of the rotation vectors ``psi``.
+
+    With w = |psi|: c1 = sin w/w, c2 = (1-cos w)/w^2, c3 = (w-sin w)/w^3,
+    d2 = c2'(w)/w and d3 = c3'(w)/w; rows with w < SMALL_ANGLE take the
+    series, which stay finite at w = 0.
+    """
+    w2 = np.einsum("ij,ij->i", psi, psi)
+    omega = np.sqrt(w2)
+    small = omega < SMALL_ANGLE
+    w = np.where(small, 1.0, omega)  # keeps the closed forms finite on series rows
+    s, c = np.sin(w), np.cos(w)
+    series = (
+        1.0 - w2 / 6.0 + w2 * w2 / 120.0,
+        0.5 - w2 / 24.0 + w2 * w2 / 720.0,
+        1.0 / 6.0 - w2 / 120.0 + w2 * w2 / 5040.0,
+        -1.0 / 12.0 + w2 / 180.0,
+        -1.0 / 60.0 + w2 / 1260.0,
+    )
+    closed = (
+        s / w,
+        (1.0 - c) / w**2,
+        (w - s) / w**3,
+        (w * s - 2.0 * (1.0 - c)) / w**4,
+        (w * (1.0 - c) - 3.0 * (w - s)) / w**5,
+    )
+    return tuple(np.where(small, a, b) for a, b in zip(series, closed))
+
+
+def exp_so3(psi: np.ndarray, coeffs) -> np.ndarray:
+    """Rodrigues formula: ``(n, 3, 3)`` rotation matrices of the rows of psi."""
+    c1, c2 = coeffs[0][:, None, None], coeffs[1][:, None, None]
+    k = cross(np.eye(3), psi[:, None, :])  # hat(psi): row i is e_i x psi
+    # hat(psi)^2 = psi psi^T - |psi|^2 I
+    kk = psi[:, :, None] * psi[:, None, :] - np.einsum("ij,ij->i", psi, psi)[:, None, None] * np.eye(3)
+    return np.eye(3) + c1 * k + c2 * kk
+
+
+def left_jacobian_apply(psi: np.ndarray, a: np.ndarray, coeffs) -> np.ndarray:
+    """J_l(psi) a = a + c2 psi x a + c3 psi x (psi x a), row by row.
+
+    J_l(psi) is the integral of exp(t hat(psi)) over t in [0, 1].  The right
+    Jacobian is its transpose, so J_r(psi)^T v is this map applied to v.
+    """
+    c2, c3 = coeffs[1][:, None], coeffs[2][:, None]
+    pa = cross(psi, a)
+    return a + c2 * pa + c3 * cross(psi, pa)
+
+
+def d_left_jacobian_apply_t(psi: np.ndarray, a: np.ndarray, u: np.ndarray,
+                            coeffs) -> np.ndarray:
+    """(d(J_l(psi) a)/d(psi))^T u for a fixed vector a, row by row.
+
+    Differentiating a + c2 (psi x a) + c3 psi x (psi x a) through the
+    coefficients (via w = |psi|) and the cross products, then transposing,
+    gives c2 (a x u) + c3 ((psi x a) x u - a x (psi x u))
+    + psi (d2 (psi x a).u + d3 (psi x (psi x a)).u).
+    """
+    _, c2, c3, d2, d3 = (c[:, None] for c in coeffs)
+    pa = cross(psi, a)
+    ppa = cross(psi, pa)
+    along = d2 * np.sum(pa * u, axis=1, keepdims=True) + d3 * np.sum(ppa * u, axis=1, keepdims=True)
+    return c2 * cross(a, u) + c3 * (cross(pa, u) - cross(a, cross(psi, u))) + along * psi

@@ -174,6 +174,7 @@ def test_cluster_mismatch_exit_code(tmp_path, capsys):
                    "--expect", "10", "--out-dir", str(tmp_path / "cl"))
     assert code == 4
     assert capsys.readouterr().err.startswith("ERROR 4:")
+    assert not (tmp_path / "cl").exists()
 
 
 def test_cluster_empty_file(tmp_path, capsys):
@@ -197,7 +198,9 @@ def test_cluster_invalid_params(tmp_path, capsys):
     ["--eps", "inf"],
     ["--eps", "5", "--min-pts", "4", "--expect", "10", "--base-hint", "nan,0,0"],
     ["--eps", "5", "--min-pts", "4", "--expect", "10", "--base-hint", "1,2"],
-], ids=["eps-nan", "eps-inf", "hint-nan", "hint-two-values"])
+    ["--eps", "5", "--min-pts", "4", "--expect", "0"],
+    ["--eps", "5", "--min-pts", "4", "--expect", "-3"],
+], ids=["eps-nan", "eps-inf", "hint-nan", "hint-two-values", "expect-0", "expect-negative"])
 def test_cluster_rejects_bad_params_before_writing(tmp_path, capsys, flags):
     path = tmp_path / "raw.csv"
     blob_csv(path)
@@ -244,6 +247,14 @@ def test_match_truncated_target(tmp_path, capsys):
     code = run_cli("match", str(short), "--out-dir", str(tmp_path / "m"))
     assert code == 2
     assert capsys.readouterr().err.startswith("ERROR 2:")
+    assert not (tmp_path / "m").exists()
+    # a straight 200 mm curve is too short to span the 560 mm backbone
+    straight = tmp_path / "straight.csv"
+    write_curve_csv(straight, [(0.0, 0.0, -10.0 * k) for k in range(21)])
+    code = run_cli("match", str(straight), "--out-dir", str(tmp_path / "m200"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("ERROR 2:")
+    assert not (tmp_path / "m200").exists()
 
 
 def test_match_deterministic_and_complete(tmp_path, fast_config_path):

@@ -2,6 +2,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize as scipy_minimize
 
 import diskrod.model as model
@@ -11,6 +14,7 @@ from diskrod.model import (ActuationState, ManipulatorConfig, WarmStartCache,
                            tendon_hole_positions, tendon_path_length,
                            total_energy)
 from diskrod.model import _energy_and_gradient, _hessian_vector
+from diskrod.rotations import SMALL_ANGLE
 from conftest import actuation
 
 
@@ -451,3 +455,53 @@ def test_concurrent_forward_calls(config):
     for t in threads:
         t.join()
     assert errors == []
+
+
+# ----------------------------------------------- gradient property tests
+
+def _central_difference_gradient(psi, args):
+    h = 1e-6
+    fd = np.empty_like(psi)
+    for i in range(len(psi)):
+        up, dn = psi.copy(), psi.copy()
+        up[i] += h
+        dn[i] -= h
+        eu = _energy_and_gradient(up, *args, want_grad=False)[0]
+        ed = _energy_and_gradient(dn, *args, want_grad=False)[0]
+        fd[i] = (eu - ed) / (2 * h)
+    return fd
+
+
+_FINE = ManipulatorConfig(elements_per_segment=2)
+_ANGLES = st.lists(st.sampled_from([0.0, -75.0, -30.0, 45.0, 90.0]), min_size=9, max_size=9)
+
+
+def _check_gradient_off_the_kink(psi, angles, taut, margin):
+    # the rest length sits ``margin`` mm short of (taut) or past (slack) the
+    # tendon path at psi, so no difference step crosses the kink
+    theta = np.deg2rad(angles)
+    masses = _FINE.node_masses_g()
+    path = _energy_and_gradient(psi, _FINE, theta, 0.0, masses, want_grad=False)[2]
+    args = (_FINE, theta, path - margin if taut else path + margin, masses)
+    _, grad, _ = _energy_and_gradient(psi, *args)
+    fd = _central_difference_gradient(psi, args)
+    np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6 * max(1.0, np.abs(fd).max()))
+
+
+@pytest.mark.parametrize("taut", [True, False], ids=["taut", "slack"])
+@settings(max_examples=10, deadline=None)
+@given(psi=arrays(np.float64, 3 * _FINE.n_elements, elements=st.floats(-5e-5, 5e-5)),
+       angles=_ANGLES, margin=st.floats(0.05, 20.0))
+def test_gradient_below_small_angle_matches_central_difference(psi, angles, taut, margin):
+    # every element's rotation vector is below SMALL_ANGLE: all rows take the series
+    assert np.linalg.norm(psi.reshape(-1, 3), axis=1).max() < SMALL_ANGLE
+    _check_gradient_off_the_kink(psi, angles, taut, margin)
+
+
+@pytest.mark.parametrize("taut", [True, False], ids=["taut", "slack"])
+@settings(max_examples=10, deadline=None)
+@given(psi=arrays(np.float64, 3 * _FINE.n_elements, elements=st.floats(-0.15, 0.15)),
+       angles=_ANGLES, margin=st.floats(0.05, 20.0))
+def test_gradient_matches_central_difference_on_each_side_of_the_kink(psi, angles, taut,
+                                                                      margin):
+    _check_gradient_off_the_kink(psi, angles, taut, margin)

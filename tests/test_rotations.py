@@ -1,0 +1,132 @@
+"""Property tests of the batched rotation-vector maps.
+
+Every drawn batch holds one row below ``SMALL_ANGLE`` (series coefficients)
+and one above it (closed forms), plus random rows of either kind.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
+
+from diskrod.rotations import (SMALL_ANGLE, coefficients, cross,
+                               d_left_jacobian_apply_t, exp_so3,
+                               left_jacobian_apply)
+
+unit = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array).filter(
+    lambda v: np.linalg.norm(v) > 1e-3).map(lambda v: v / np.linalg.norm(v))
+small_row = st.builds(lambda u, w: u * w, unit, st.floats(0.0, 0.999 * SMALL_ANGLE))
+large_row = st.builds(lambda u, w: u * w, unit, st.floats(SMALL_ANGLE, 3.0))
+vector = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array)
+
+
+@st.composite
+def batches(draw):
+    """(psi, a, u) with psi rows on both sides of SMALL_ANGLE."""
+    rows = [draw(small_row), draw(large_row)]
+    rows += draw(st.lists(st.one_of(small_row, large_row), max_size=4))
+    n = len(rows)
+    a = np.array([draw(vector) for _ in range(n)])
+    u = np.array([draw(vector) for _ in range(n)])
+    return np.array(rows), a, u
+
+
+def vee(m):
+    return np.stack([m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0],
+                     m[:, 1, 0] - m[:, 0, 1]], axis=-1) / 2.0
+
+
+def apply(psi, a):
+    return left_jacobian_apply(psi, a, coefficients(psi))
+
+
+def rotation(psi):
+    return exp_so3(psi, coefficients(psi))
+
+
+@settings(deadline=None)
+@given(batches())
+def test_exp_is_a_rotation_fixing_its_axis(batch):
+    psi, _, _ = batch
+    rot = rotation(psi)
+    assert np.abs(rot @ rot.transpose(0, 2, 1) - np.eye(3)).max() <= 1e-14
+    assert np.abs(np.linalg.det(rot) - 1.0).max() <= 1e-14
+    assert np.abs(np.einsum("kij,kj->ki", rot, psi) - psi).max() <= 1e-14
+    np.testing.assert_allclose(rot, Rotation.from_rotvec(psi).as_matrix(), rtol=0, atol=1e-14)
+
+
+@settings(deadline=None)
+@given(batches())
+def test_left_jacobian_is_the_derivative_of_exp(batch):
+    # exp(psi + t a) = exp(t J_l(psi) a) exp(psi) to first order in t
+    psi, a, _ = batch
+    h = 1e-6
+    d_exp = (rotation(psi + h * a) - rotation(psi - h * a)) / (2.0 * h)
+    twist = vee(d_exp @ rotation(psi).transpose(0, 2, 1))
+    np.testing.assert_allclose(apply(psi, a), twist, rtol=0, atol=1e-8)
+
+
+@settings(deadline=None)
+@given(batches())
+def test_left_jacobian_transpose_is_right_jacobian(batch):
+    # J_r(psi) = J_l(-psi) = J_l(psi)^T: the gradient applies J_l for J_r^T
+    psi, a, u = batch
+    lhs = np.einsum("ki,ki->k", u, apply(psi, a))
+    rhs = np.einsum("ki,ki->k", a, apply(-psi, u))
+    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-14)
+
+
+@settings(deadline=None)
+@given(batches())
+def test_left_jacobian_is_the_mean_rotation(batch):
+    # J_l(psi) a is the integral of exp(t psi) a over t in [0, 1]; c2's closed
+    # form carries ~1e-16/|psi| absolute error, 1e-12 at SMALL_ANGLE
+    psi, a, _ = batch
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    mean = sum(0.5 * w * np.einsum("kij,kj->ki", rotation(0.5 * (t + 1.0) * psi), a)
+               for t, w in zip(nodes, weights))
+    np.testing.assert_allclose(apply(psi, a), mean, rtol=0, atol=2e-12)
+
+
+@settings(deadline=None)
+@given(batches(), vector)
+def test_left_jacobian_derivative_matches_central_difference(batch, v):
+    psi, a, u = batch
+    h = 1e-5
+    slope = (apply(psi + h * v, a) - apply(psi - h * v, a)) / (2.0 * h)
+    expected = np.einsum("ki,ki->k", u, slope)
+    got = d_left_jacobian_apply_t(psi, a, u, coefficients(psi)) @ v
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-6)
+
+
+def taylor(w, start, shift):
+    """sum over k >= start of (-1)^k w^(2k) / (2k + shift)!, or its w-derivative
+    over w for ``start`` = 1 (the d2, d3 series)."""
+    total = np.zeros_like(w)
+    for k in range(start, 30):
+        term = (-1.0) ** k / math.factorial(2 * k + shift)
+        total += term * (2 * k * w ** (2 * k - 2) if start else w ** (2 * k))
+    return total
+
+
+@settings(deadline=None)
+@given(st.one_of(small_row, large_row.filter(lambda r: np.linalg.norm(r) >= 0.05)))
+def test_coefficients_match_their_taylor_series(row):
+    # the closed forms lose digits to cancellation just above SMALL_ANGLE, so
+    # they are compared from 0.05 rad; the series rows hold to rounding
+    w = np.array([np.linalg.norm(row)])
+    rtol = 1e-14 if w[0] < SMALL_ANGLE else 1e-8
+    expected = (taylor(w, 0, 1), taylor(w, 0, 2), taylor(w, 0, 3),
+                taylor(w, 1, 2), taylor(w, 1, 3))
+    for got, want in zip(coefficients(row[None, :]), expected):
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(batches())
+def test_cross_matches_numpy(batch):
+    psi, a, _ = batch
+    np.testing.assert_array_equal(cross(psi, a), np.cross(psi, a))
+    np.testing.assert_array_equal(cross(psi, a[0]), np.cross(psi, a[0]))
