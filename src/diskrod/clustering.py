@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.spatial import cKDTree
 
 from .curves import Curve3D, arc_length_parameterize
 from .errors import ClusterCountMismatch, InvalidParams
@@ -41,42 +43,43 @@ def dbscan(points: RawPointSet, eps: float, min_pts: int) -> ClusterResult:
     """Density-based clustering with deterministic border assignment.
 
     A point is core when it has >= min_pts neighbors within eps (itself
-    included).  Clusters are the connected components of core points under
-    the eps-neighborhood graph; non-core points join the cluster of their
-    lowest-indexed core neighbor, or become noise.
+    included, distance <= eps).  Clusters are the connected components of
+    core points under the eps-neighborhood graph, numbered in order of their
+    lowest-indexed core point; non-core points join the cluster of their
+    lowest-indexed core neighbor, or become noise.  Neighbors come from a
+    KD-tree pair query (Ester et al., KDD 1996), so memory grows with n plus
+    the number of neighbor pairs.
     """
+    # imported here: only clustering needs csgraph, which adds about 1 MB to
+    # every process that imports diskrod
+    from scipy.sparse.csgraph import connected_components
+
     if not 0.0 < eps < np.inf or min_pts < 1:  # also rejects NaN
         raise InvalidParams(f"eps={eps}, min_pts={min_pts}")
     pts = points.points
     n = len(pts)
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-    neighbor = d2 <= eps * eps
-    counts = neighbor.sum(axis=1)
-    core = counts >= min_pts
+    i, j = cKDTree(pts).query_pairs(eps, output_type="ndarray").T  # each pair once, i < j
+    core = 1 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n) >= min_pts
 
-    labels = np.full(n, -1, dtype=int)
-    n_clusters = 0
-    for i in range(n):
-        if not core[i] or labels[i] != -1:
-            continue
-        # breadth-first expansion over core points
-        labels[i] = n_clusters
-        queue = [i]
-        while queue:
-            j = queue.pop()
-            for k in np.nonzero(neighbor[j] & core)[0]:
-                if labels[k] == -1:
-                    labels[k] = n_clusters
-                    queue.append(int(k))
-        n_clusters += 1
+    linked = core[i] & core[j]
+    graph = csr_matrix((np.ones(linked.sum(), dtype=np.int8), (i[linked], j[linked])),
+                       shape=(n, n))
+    n_parts, part = connected_components(graph, directed=False)
+    # core indices ascend, so first occurrences give each cluster's lowest core point
+    found, first = np.unique(part[core], return_index=True)
+    renumber = np.full(n_parts, -1)
+    renumber[found[np.argsort(first)]] = np.arange(len(found))
+    labels = renumber[part]  # non-core points are lone parts: -1 for now
+    n_clusters = len(found)
 
     # border points: lowest-indexed core neighbor decides the cluster
-    for i in range(n):
-        if core[i]:
-            continue
-        core_nbrs = np.nonzero(neighbor[i] & core)[0]
-        if core_nbrs.size:
-            labels[i] = labels[core_nbrs[0]]
+    lowest = np.full(n, n)
+    to_j = core[i] & ~core[j]
+    to_i = core[j] & ~core[i]
+    np.minimum.at(lowest, np.concatenate([j[to_j], i[to_i]]),
+                  np.concatenate([i[to_j], j[to_i]]))
+    border = lowest < n
+    labels[border] = labels[lowest[border]]
 
     clusters = [np.nonzero(labels == c)[0] for c in range(n_clusters)]
     noise = np.nonzero(labels == -1)[0]

@@ -4,7 +4,8 @@ Every function works on all elements at once: ``psi`` is an ``(n, 3)`` array
 of rotation vectors (axis * angle, radians), one row per element, and the
 results are ``(n, 3, 3)`` matrices or ``(n, 3)`` vectors row for row.  The
 maps take ``coefficients(psi)``, computed once per batch, whose series below
-``SMALL_ANGLE`` keep every map smooth through psi = 0.
+``SMALL_ANGLE`` (``DERIVATIVE_SMALL_ANGLE`` for the derivative terms) keep every
+map smooth through psi = 0.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 SMALL_ANGLE = 1e-4
+# d2, d3's closed forms cancel to ~1e-14/w^4 relative; their three-term series
+# is off by ~3e-5 w^6, so both hold ~1e-10 at this switch
+DERIVATIVE_SMALL_ANGLE = 0.1
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -31,19 +35,21 @@ def coefficients(psi: np.ndarray):
 
     With w = |psi|: c1 = sin w/w, c2 = (1-cos w)/w^2, c3 = (w-sin w)/w^3,
     d2 = c2'(w)/w and d3 = c3'(w)/w; rows with w < SMALL_ANGLE take the
-    series, which stay finite at w = 0.
+    series for c1, c2, c3, and rows with w < DERIVATIVE_SMALL_ANGLE take them
+    for d2, d3.  The series stay finite at w = 0.
     """
     w2 = np.einsum("ij,ij->i", psi, psi)
     omega = np.sqrt(w2)
     small = omega < SMALL_ANGLE
+    switch = (small, small, small) + (omega < DERIVATIVE_SMALL_ANGLE,) * 2
     w = np.where(small, 1.0, omega)  # keeps the closed forms finite on series rows
     s, c = np.sin(w), np.cos(w)
     series = (
         1.0 - w2 / 6.0 + w2 * w2 / 120.0,
         0.5 - w2 / 24.0 + w2 * w2 / 720.0,
         1.0 / 6.0 - w2 / 120.0 + w2 * w2 / 5040.0,
-        -1.0 / 12.0 + w2 / 180.0,
-        -1.0 / 60.0 + w2 / 1260.0,
+        -1.0 / 12.0 + w2 / 180.0 - w2 * w2 / 6720.0,
+        -1.0 / 60.0 + w2 / 1260.0 - w2 * w2 / 60480.0,
     )
     closed = (
         s / w,
@@ -52,7 +58,7 @@ def coefficients(psi: np.ndarray):
         (w * s - 2.0 * (1.0 - c)) / w**4,
         (w * (1.0 - c) - 3.0 * (w - s)) / w**5,
     )
-    return tuple(np.where(small, a, b) for a, b in zip(series, closed))
+    return tuple(np.where(m, a, b) for m, a, b in zip(switch, series, closed))
 
 
 def exp_so3(psi: np.ndarray, coeffs) -> np.ndarray:

@@ -242,17 +242,17 @@ def test_criterion_9_dbscan_oracle():
            f"{oracle_checked} instances {member_ok}")
 
 
-def test_criterion_10_determinism_and_roundtrip(config, tmp_path):
+def test_criterion_10_determinism_and_roundtrip(va_target, tmp_path):
     from diskrod.cli import main
     from diskrod.fileio import read_curve_csv, write_curve_csv
 
-    target = solve_equilibrium(config, actuation(100.0, d5=-70.0)).shape
+    # the session's solve of disk 5 at -70 deg, 100 mm
     target_path = tmp_path / "target.csv"
-    write_curve_csv(target_path, target.dense_curve.points)
+    write_curve_csv(target_path, va_target.points)
 
     # shape CSV round-trip
     parsed = read_curve_csv(target_path)
-    roundtrip_ok = np.abs(parsed.points - target.dense_curve.points).max() <= 1e-6
+    roundtrip_ok = np.abs(parsed.points - va_target.points).max() <= 1e-6
 
     digests = []
     for name in ("a", "b"):

@@ -25,6 +25,22 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+@pytest.fixture(scope="module")
+def fast_match(tmp_path_factory, fast_config_path):
+    """The va target (disk 5 at -70, 100 mm) on the fast config as a CSV, and
+    one ``match`` run on it that the module's tests share."""
+    cfg = ManipulatorConfig(elements_per_segment=2)
+    target = solve_equilibrium(
+        cfg, ActuationState(100.0, (0, 0, 0, 0, -70.0, 0, 0, 0, 0))).shape.dense_curve
+    folder = tmp_path_factory.mktemp("fast_match")
+    target_path = folder / "target.csv"
+    write_curve_csv(target_path, target.points)
+    out = folder / "m"
+    assert run_cli("match", str(target_path), "--config", fast_config_path,
+                   "--out-dir", str(out)) == 0
+    return target_path, out
+
+
 def test_simulate_roundtrip(tmp_path, config):
     out = tmp_path / "sim"
     code = run_cli("simulate", "--tendon-mm", "100", "--disk", "5=-70",
@@ -257,41 +273,30 @@ def test_match_truncated_target(tmp_path, capsys):
     assert not (tmp_path / "m200").exists()
 
 
-def test_match_deterministic_and_complete(tmp_path, fast_config_path):
-    cfg = ManipulatorConfig(elements_per_segment=2)
-    target = solve_equilibrium(
-        cfg, ActuationState(100.0, (0, 0, 0, 0, -70.0, 0, 0, 0, 0))).shape.dense_curve
-    target_path = tmp_path / "target.csv"
-    write_curve_csv(target_path, target.points)
-
-    outs = []
-    for name in ("m1", "m2"):
-        out = tmp_path / name
-        code = run_cli("match", str(target_path), "--config", fast_config_path,
-                       "--out-dir", str(out))
-        assert code == 0
-        outs.append(out)
+def test_match_deterministic_and_complete(tmp_path, fast_config_path, fast_match):
+    target_path, shared = fast_match
+    out = tmp_path / "m"
+    code = run_cli("match", str(target_path), "--config", fast_config_path,
+                   "--out-dir", str(out))
+    assert code == 0
     for fname in ("match_result.json", "overlay_step2.svg", "overlay_step3.svg",
                   "overlay_step4.svg", "match_manifest.json"):
-        a = (outs[0] / fname).read_bytes()
-        b = (outs[1] / fname).read_bytes()
+        a = (shared / fname).read_bytes()
+        b = (out / fname).read_bytes()
         assert a == b, f"{fname} differs between identical runs"
 
-    result = json.loads((outs[0] / "match_result.json").read_text())
+    result = json.loads((out / "match_result.json").read_text())
     assert result["hypotheses"][0]["disk"] in (4, 5, 6)
     assert result["hypotheses"][0]["direction"] == "counterclockwise"
-    manifest = json.loads((outs[0] / "match_manifest.json").read_text())
+    manifest = json.loads((out / "match_manifest.json").read_text())
     assert "match_result.json" in manifest["outputs"]
 
 
-def test_match_overlays_cost_no_solves(tmp_path, fast_config_path, monkeypatch):
+def test_match_overlays_cost_no_solves(tmp_path, fast_config_path, fast_match, monkeypatch):
     import diskrod.model as model
     from diskrod.matching import match_shape
     cfg = ManipulatorConfig(elements_per_segment=2)
-    target = solve_equilibrium(
-        cfg, ActuationState(100.0, (0, 0, 0, 0, -70.0, 0, 0, 0, 0))).shape.dense_curve
-    target_path = tmp_path / "target.csv"
-    write_curve_csv(target_path, target.points)
+    target_path, _ = fast_match
 
     calls = []
     solve = model.solve_equilibrium

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -71,6 +75,9 @@ def test_singleton_core_point():
     assert len(result.clusters) == 1
     assert list(result.clusters[0]) == [0]
     assert len(result.noise) == 0
+    result = dbscan(RawPointSet(points=np.array([[1.0, 2.0, 3.0]])), eps=1.0, min_pts=2)
+    assert result.clusters == [] and result.centroids.shape == (0, 3)
+    assert list(result.noise) == [0]
 
 
 def test_sparse_collinear_points_all_noise():
@@ -78,6 +85,14 @@ def test_sparse_collinear_points_all_noise():
     result = dbscan(RawPointSet(points=pts), eps=1.0, min_pts=2)
     assert result.clusters == []
     assert len(result.noise) == 5
+
+
+def test_points_without_neighbors_are_lone_clusters_at_min_pts_1():
+    pts = np.column_stack([np.arange(5) * 10.0, np.zeros(5), np.zeros(5)])
+    result = dbscan(RawPointSet(points=pts), eps=1.0, min_pts=1)
+    assert [c.tolist() for c in result.clusters] == [[i] for i in range(5)]
+    np.testing.assert_array_equal(result.centroids, pts)
+    assert len(result.noise) == 0
 
 
 def test_invalid_params():
@@ -148,6 +163,99 @@ def test_every_member_density_reachable():
                     if core[k]:
                         frontier.append(int(k))
         assert seen == members
+
+
+@st.composite
+def clouds(draw):
+    """Gaussian blobs, uniform noise and repeated points, with eps and min_pts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = [rng.normal(rng.uniform(0.0, 60.0, 3), draw(st.floats(0.3, 4.0)),
+                        (draw(st.integers(1, 25)), 3))
+             for _ in range(draw(st.integers(0, 4)))]
+    parts.append(rng.uniform(0.0, 60.0, (draw(st.integers(0, 30)), 3)))
+    pts = np.vstack(parts)
+    if len(pts) == 0:
+        pts = rng.uniform(0.0, 60.0, (1, 3))
+    pts = np.vstack([pts, pts[rng.integers(0, len(pts), draw(st.integers(0, 10)))]])
+    return pts, draw(st.floats(0.2, 15.0)), draw(st.integers(1, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(clouds())
+def test_partition_matches_oracle_on_drawn_clouds(cloud):
+    pts, eps, min_pts = cloud
+    assert as_partition(dbscan(RawPointSet(points=pts), eps, min_pts)) == \
+        oracle_partition(pts, eps, min_pts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(clouds(), st.integers(0, 2**32 - 1))
+def test_partition_is_permutation_invariant(cloud, seed):
+    # a border point within eps of core points of two clusters joins the one
+    # with the lowest-indexed core neighbor, which an order change may switch
+    pts, eps, min_pts = cloud
+    perm = np.random.default_rng(seed).permutation(len(pts))
+    base = dbscan(RawPointSet(points=pts), eps, min_pts)
+    shuffled = dbscan(RawPointSet(points=pts[perm]), eps, min_pts)
+    nbr = np.sum((pts[:, None] - pts[None, :]) ** 2, axis=2) <= eps * eps
+    core = nbr.sum(axis=1) >= min_pts
+    label = np.full(len(pts), -1)
+    for c, members in enumerate(base.clusters):
+        label[members] = c
+    reach = [set(label[nbr[i] & core]) for i in range(len(pts))]
+    ambiguous = {i for i in range(len(pts)) if not core[i] and len(reach[i]) > 1}
+    moved = [set(perm[c].tolist()) for c in shuffled.clusters]
+    assert set(frozenset(c) - ambiguous for c in moved) == \
+        set(frozenset(c.tolist()) - ambiguous for c in base.clusters)
+    assert set(perm[shuffled.noise].tolist()) == set(base.noise.tolist())
+    for i in ambiguous:  # still joins the cluster of one of its core neighbors
+        home = next(c for c in moved if i in c)
+        assert any(core[k] and nbr[i, k] for k in home)
+
+
+def test_border_point_joins_its_lowest_indexed_core_neighbor():
+    # four core points at x ~ -1 and four at x ~ +1; the point at 0 reaches one
+    # core point of each side (distance exactly 1) but is not core itself
+    side = np.array([1.0, 1.01, 1.02, 1.03])
+    line = np.concatenate([-side, side, [0.0]])
+    pts = np.column_stack([line, np.zeros(9), np.zeros(9)])
+    for order in (np.arange(9), np.r_[4:8, 0:4, 8]):  # either side listed first
+        result = dbscan(RawPointSet(points=pts[order]), eps=1.0, min_pts=4)
+        assert [c.tolist() for c in result.clusters] == [[0, 1, 2, 3, 8], [4, 5, 6, 7]]
+
+
+# a 3-4-5 triangle: every pairwise distance is an exact integer
+TRIANGLE = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
+
+
+@pytest.mark.parametrize("points, eps, min_pts, clusters, noise", [
+    (TRIANGLE, 5.0, 3, [[0, 1, 2]], []),
+    (TRIANGLE, 5.0, 4, [], [0, 1, 2]),
+    (TRIANGLE, 3.0, 2, [[0, 1]], [2]),
+    (TRIANGLE, np.nextafter(3.0, 0.0), 2, [], [0, 1, 2]),
+    (TRIANGLE[[0, 2]], 5.0, 2, [[0, 1]], []),
+    (TRIANGLE[[0, 2]], np.nextafter(5.0, 0.0), 2, [], [0, 1]),
+], ids=["all-core", "too-few", "side-3", "below-3", "hypotenuse", "below-hypotenuse"])
+def test_neighbors_at_exactly_eps_count(points, eps, min_pts, clusters, noise):
+    result = dbscan(RawPointSet(points=points), eps=eps, min_pts=min_pts)
+    assert [c.tolist() for c in result.clusters] == clusters
+    assert result.noise.tolist() == noise
+
+
+def test_memory_stays_below_one_dense_matrix():
+    # 5000 stylus touches around nine disk centers, sigma 1 mm, as the
+    # benchmark's measure clouds; a dense n x n float64 matrix would be 200 MB
+    n = 5000
+    raw, _ = blob_instance(seed=21, n_blobs=9, pts_per_blob=n // 9 + 1, sigma=1.0)
+    raw = RawPointSet(points=raw.points[:n])
+    tracemalloc.start()
+    try:
+        result = dbscan(raw, eps=8.0, min_pts=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.clusters) == 9
+    assert peak < n * n * 8
 
 
 # ------------------------------------------------------------ center chaining

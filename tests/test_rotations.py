@@ -1,17 +1,18 @@
 """Property tests of the batched rotation-vector maps.
 
 Every drawn batch holds one row below ``SMALL_ANGLE`` (series coefficients)
-and one above it (closed forms), plus random rows of either kind.
+and one above it (closed forms, except d2/d3 below ``DERIVATIVE_SMALL_ANGLE``),
+plus random rows of either kind.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from diskrod.rotations import (SMALL_ANGLE, coefficients, cross,
+from diskrod.rotations import (DERIVATIVE_SMALL_ANGLE, SMALL_ANGLE, coefficients, cross,
                                d_left_jacobian_apply_t, exp_so3,
                                left_jacobian_apply)
 
@@ -111,16 +112,25 @@ def taylor(w, start, shift):
     return total
 
 
+# closed-form rows from SMALL_ANGLE up, log-uniform so the switch points are hit
+log_row = st.builds(lambda u, t: u * SMALL_ANGLE * (3.0 / SMALL_ANGLE) ** t,
+                    unit, st.floats(0.0, 1.0))
+
+
 @settings(deadline=None)
-@given(st.one_of(small_row, large_row.filter(lambda r: np.linalg.norm(r) >= 0.05)))
+@given(st.one_of(small_row, log_row))
+@example(np.array([1.0001 * SMALL_ANGLE, 0.0, 0.0]))
+@example(np.array([0.0, DERIVATIVE_SMALL_ANGLE, 0.0]))
+@example(np.array([0.0, 0.0, np.nextafter(DERIVATIVE_SMALL_ANGLE, 0.0)]))
 def test_coefficients_match_their_taylor_series(row):
-    # the closed forms lose digits to cancellation just above SMALL_ANGLE, so
-    # they are compared from 0.05 rad; the series rows hold to rounding
+    # c2/c3's closed forms cancel to ~1e-15/w^2 relative (4e-8 just above
+    # SMALL_ANGLE); d2/d3 hold 1.3e-10 on either side of DERIVATIVE_SMALL_ANGLE
     w = np.array([np.linalg.norm(row)])
-    rtol = 1e-14 if w[0] < SMALL_ANGLE else 1e-8
+    c_rtol = 1e-14 if w[0] < 0.999 * SMALL_ANGLE else max(1e-14, 2e-15 / w[0] ** 2)
+    rtols = (1e-14, c_rtol, c_rtol, 5e-10, 5e-10)
     expected = (taylor(w, 0, 1), taylor(w, 0, 2), taylor(w, 0, 3),
                 taylor(w, 1, 2), taylor(w, 1, 3))
-    for got, want in zip(coefficients(row[None, :]), expected):
+    for got, want, rtol in zip(coefficients(row[None, :]), expected, rtols):
         np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
 
 
