@@ -244,7 +244,10 @@ def test_neighbors_at_exactly_eps_count(points, eps, min_pts, clusters, noise):
 
 def test_memory_stays_below_one_dense_matrix():
     # 5000 stylus touches around nine disk centers, sigma 1 mm, as the
-    # benchmark's measure clouds; a dense n x n float64 matrix would be 200 MB
+    # benchmark's measure clouds; a dense n x n float64 matrix would be 200 MB.
+    # tracemalloc sees numpy and Python allocations only, not cKDTree's native
+    # tree and pair buffers, so this guards against a dense matrix coming back
+    # and is not dbscan's whole footprint
     n = 5000
     raw, _ = blob_instance(seed=21, n_blobs=9, pts_per_blob=n // 9 + 1, sigma=1.0)
     raw = RawPointSet(points=raw.points[:n])

@@ -123,11 +123,14 @@ log_row = st.builds(lambda u, t: u * SMALL_ANGLE * (3.0 / SMALL_ANGLE) ** t,
 @example(np.array([0.0, DERIVATIVE_SMALL_ANGLE, 0.0]))
 @example(np.array([0.0, 0.0, np.nextafter(DERIVATIVE_SMALL_ANGLE, 0.0)]))
 def test_coefficients_match_their_taylor_series(row):
-    # c2/c3's closed forms cancel to ~1e-15/w^2 relative (4e-8 just above
-    # SMALL_ANGLE); d2/d3 hold 1.3e-10 on either side of DERIVATIVE_SMALL_ANGLE
+    # every series row below SMALL_ANGLE holds to rounding; c2/c3's closed
+    # forms cancel to ~1e-15/w^2 relative (4e-8 just above SMALL_ANGLE), and
+    # d2/d3 hold 1.3e-10 on either side of DERIVATIVE_SMALL_ANGLE
     w = np.array([np.linalg.norm(row)])
-    c_rtol = 1e-14 if w[0] < 0.999 * SMALL_ANGLE else max(1e-14, 2e-15 / w[0] ** 2)
-    rtols = (1e-14, c_rtol, c_rtol, 5e-10, 5e-10)
+    series = w[0] < 0.999 * SMALL_ANGLE
+    c_rtol = 1e-14 if series else max(1e-14, 2e-15 / w[0] ** 2)
+    d_rtol = 1e-14 if series else 5e-10
+    rtols = (1e-14, c_rtol, c_rtol, d_rtol, d_rtol)
     expected = (taylor(w, 0, 1), taylor(w, 0, 2), taylor(w, 0, 3),
                 taylor(w, 1, 2), taylor(w, 1, 3))
     for got, want, rtol in zip(coefficients(row[None, :]), expected, rtols):
