@@ -139,35 +139,36 @@ def arc_length_parameterize(points) -> Curve3D:
     return Curve3D(points=pts, s=np.concatenate(([0.0], np.cumsum(chords))))
 
 
-def fd_weights(x: np.ndarray, z: float, max_order: int) -> np.ndarray:
+def fd_weights(x: np.ndarray, z: float | np.ndarray, max_order: int) -> np.ndarray:
     """Finite-difference weights on arbitrary nodes (Fornberg's recursion).
 
-    Returns an array of shape (max_order + 1, len(x)); row k dotted with
-    samples at x approximates the k-th derivative at z.
+    Broadcasts over stencils: nodes ``x`` (..., n) and points ``z`` (...) give
+    weights of shape (..., max_order + 1, n); row k dotted with samples at x
+    approximates the k-th derivative at z.
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
+    n = x.shape[-1]
     if n < max_order + 1:
         raise ValueError("stencil too small for requested derivative")
-    c = np.zeros((max_order + 1, n))
-    c[0, 0] = 1.0
+    c = np.zeros(x.shape[:-1] + (max_order + 1, n))
+    c[..., 0, 0] = 1.0
     c1 = 1.0
-    c4 = x[0] - z
+    c4 = x[..., 0] - z
     for i in range(1, n):
         mn = min(i, max_order)
         c2 = 1.0
         c5 = c4
-        c4 = x[i] - z
+        c4 = x[..., i] - z
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
+            c3 = x[..., i] - x[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[k, i] = c1 * (k * c[k - 1, i - 1] - c5 * c[k, i - 1]) / c2
-                c[0, i] = -c1 * c5 * c[0, i - 1] / c2
+                    c[..., k, i] = c1 * (k * c[..., k - 1, i - 1] - c5 * c[..., k, i - 1]) / c2
+                c[..., 0, i] = -c1 * c5 * c[..., 0, i - 1] / c2
             for k in range(mn, 0, -1):
-                c[k, j] = (c4 * c[k, j] - k * c[k - 1, j]) / c3
-            c[0, j] = c4 * c[0, j] / c3
+                c[..., k, j] = (c4 * c[..., k, j] - k * c[..., k - 1, j]) / c3
+            c[..., 0, j] = c4 * c[..., 0, j] / c3
         c1 = c2
     return c
 
@@ -180,26 +181,24 @@ def ct_profile(curve: Curve3D) -> CTProfile:
     (one-sided at the ends).  Samples with |r' x r''|^2 < EPS_CROSS get
     kappa_valid=False and tau=0.
     """
-    pts, s = curve.points, curve.s
-    n = len(pts)
+    pts, s, n = curve.points, curve.s, curve.n
     w5_size = min(5, n)  # a 4-point curve still determines a third derivative
-    kappa = np.zeros(n)
+    idx3 = np.clip(np.arange(n) - 1, 0, n - 3)[:, None] + np.arange(3)
+    idx5 = np.clip(np.arange(n) - 2, 0, n - w5_size)[:, None] + np.arange(w5_size)
+    w3 = fd_weights(s[idx3], s, 2)
+    w5 = fd_weights(s[idx5], s, 3)
+    # stacked matmuls round like one sample's BLAS dot (einsum and sum do not)
+    # and float_power like scalar C pow: each sample keeps its one-at-a-time bits
+    r1 = (w3[:, 1, None, :] @ pts[idx3])[:, 0]
+    r2 = (w3[:, 2, None, :] @ pts[idx3])[:, 0]
+    r3 = (w5[:, 3, None, :] @ pts[idx5])[:, 0]
+    cr = np.cross(r1, r2)
+    cr2 = (cr[:, None, :] @ cr[:, :, None])[:, 0, 0]
+    speed = np.sqrt((r1[:, None, :] @ r1[:, :, None])[:, 0, 0])
+    kappa = np.sqrt(cr2) / np.float_power(speed, 3)
+    valid = cr2 >= EPS_CROSS
     tau = np.zeros(n)
-    valid = np.zeros(n, dtype=bool)
-    for i in range(n):
-        lo3 = min(max(i - 1, 0), n - 3)
-        lo5 = min(max(i - 2, 0), n - w5_size)
-        w3 = fd_weights(s[lo3:lo3 + 3], s[i], 2)
-        w5 = fd_weights(s[lo5:lo5 + w5_size], s[i], 3)
-        r1 = w3[1] @ pts[lo3:lo3 + 3]
-        r2 = w3[2] @ pts[lo3:lo3 + 3]
-        r3 = w5[3] @ pts[lo5:lo5 + w5_size]
-        cr = np.cross(r1, r2)
-        cr2 = float(cr @ cr)
-        kappa[i] = np.sqrt(cr2) / np.linalg.norm(r1) ** 3
-        if cr2 >= EPS_CROSS:
-            valid[i] = True
-            tau[i] = float(cr @ r3) / cr2
+    tau[valid] = (cr[valid, None, :] @ r3[valid, :, None])[:, 0, 0] / cr2[valid]
     return CTProfile(s=s.copy(), kappa=kappa, tau=tau, kappa_valid=valid)
 
 

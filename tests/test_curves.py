@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
-from diskrod.curves import (CrossingDirection, CTProfile, Curve3D, SmoothingParams,
+from diskrod.curves import (EPS_CROSS, CrossingDirection, CTProfile, Curve3D, SmoothingParams,
                             arc_length_parameterize, ct_profile, fd_weights,
                             smooth_profile, torsion_sign_changes)
 from diskrod.errors import DegenerateSegment, TooFewPoints, TooFewValidSamples
@@ -81,6 +84,21 @@ def test_fd_weights_exact_on_polynomials():
         assert w[order] @ poly(x) == pytest.approx(poly.deriv(order)(z), abs=1e-8)
 
 
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 5),
+       st.lists(st.integers(1, 4), min_size=0, max_size=2))
+def test_fd_weights_batched_equals_stacked_single_stencils(seed, n, max_order, lead):
+    max_order = min(max_order, n - 1)
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(1e-3, 10.0, (*lead, n)), axis=-1) + rng.uniform(-100, 100)
+    z = x[..., 0] + rng.uniform(-1.0, 1.0, tuple(lead)) * (x[..., -1] - x[..., 0] + 1.0)
+    stacked = np.array([fd_weights(xi, zi, max_order)
+                        for xi, zi in zip(x.reshape(-1, n), np.ravel(z))])
+    batched = fd_weights(x, z, max_order)
+    assert batched.shape == (*lead, max_order + 1, n)
+    assert np.array_equal(batched.reshape(stacked.shape), stacked)
+
+
 # ------------------------------------------------------------------- profile
 
 def test_straight_line_profile():
@@ -158,6 +176,84 @@ def test_profile_scale_covariance():
     valid = base.kappa_valid & scaled.kappa_valid
     assert np.allclose(scaled.kappa[valid] * c, base.kappa[valid], rtol=1e-6)
     assert np.allclose(scaled.tau[valid] * c, base.tau[valid], rtol=1e-6)
+
+
+def ct_profile_per_sample(curve):
+    """The one-sample-at-a-time loop that ct_profile batches: the bit oracle."""
+    pts, s = curve.points, curve.s
+    n = len(pts)
+    w5_size = min(5, n)
+    kappa, tau, valid = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+    for i in range(n):
+        lo3 = min(max(i - 1, 0), n - 3)
+        lo5 = min(max(i - 2, 0), n - w5_size)
+        w3 = fd_weights(s[lo3:lo3 + 3], s[i], 2)
+        w5 = fd_weights(s[lo5:lo5 + w5_size], s[i], 3)
+        r1 = w3[1] @ pts[lo3:lo3 + 3]
+        r2 = w3[2] @ pts[lo3:lo3 + 3]
+        r3 = w5[3] @ pts[lo5:lo5 + w5_size]
+        cr = np.cross(r1, r2)
+        cr2 = float(cr @ cr)
+        kappa[i] = np.sqrt(cr2) / np.linalg.norm(r1) ** 3
+        if cr2 >= EPS_CROSS:
+            valid[i] = True
+            tau[i] = float(cr @ r3) / cr2
+    return kappa, tau, valid
+
+
+def random_walk_curve(seed, n, bend):
+    """n samples with random step lengths whose direction wanders by ~bend."""
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(size=(n, 3)) * bend + np.array([0.0, 0.0, 1.0])
+    steps *= rng.uniform(0.2, 5.0, (n, 1)) / np.linalg.norm(steps, axis=1, keepdims=True)
+    return arc_length_parameterize(np.cumsum(steps, axis=0) * 10.0 ** rng.uniform(-1, 2)
+                                   + rng.uniform(-500.0, 500.0, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(4, 1200),
+       st.one_of(st.floats(1e-9, 1e-4), st.floats(0.01, 3.0)))
+@example(seed=1, n=4, bend=0.3)
+@example(seed=2, n=5, bend=0.3)
+@example(seed=3, n=200, bend=1e-6)  # near-straight: mixes valid and EPS_CROSS samples
+def test_batched_profile_is_bit_identical_to_per_sample_loop(seed, n, bend):
+    curve = random_walk_curve(seed, n, bend)
+    kappa, tau, valid = ct_profile_per_sample(curve)
+    prof = ct_profile(curve)
+    assert np.array_equal(prof.kappa, kappa)
+    assert np.array_equal(prof.tau, tau)
+    assert np.array_equal(prof.kappa_valid, valid)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(10.0, 100.0), st.floats(-60.0, 60.0), st.floats(0.5, 3.0),
+       st.integers(60, 300), st.integers(0, 2**32 - 1))
+def test_helix_profile_under_rigid_motion_and_density(a, b, turns, n, seed):
+    # with c = sqrt(kappa^2 + tau^2) and arc step h, interior stencils err by
+    # O((hc)^2 c) and the one-sided ends by O(hc c); rounding the point
+    # differences adds about eps |p| / h^2 to kappa and that / (h kappa) to tau
+    c = 1.0 / np.hypot(a, b)
+    kappa_true, tau_true = a * c * c, b * c * c
+    rng = np.random.default_rng(seed)
+    motion = Rotation.random(random_state=rng).as_matrix()
+    shift = rng.uniform(-500.0, 500.0, 3)
+    for samples in (n, 2 * n, 4 * n):
+        t = np.linspace(0.0, 2.0 * np.pi * turns, samples)
+        pts = np.column_stack([a * np.cos(t), a * np.sin(t), b * t])
+        moved_pts = pts @ motion.T + shift
+        hc = t[1] - t[0]
+        h = hc / c
+        round_k = 128 * np.finfo(float).eps * np.abs(moved_pts).max() / h**2
+        round_t = round_k / (h * kappa_true)
+        prof = ct_profile(arc_length_parameterize(pts))
+        moved = ct_profile(arc_length_parameterize(moved_pts))
+        assert moved.kappa_valid.all()
+        for p in (prof, moved):
+            for got, true, noise in ((p.kappa, kappa_true, round_k), (p.tau, tau_true, round_t)):
+                assert np.abs(got[2:-2] - true).max() <= 0.5 * hc * hc * c + noise
+                assert np.abs(got - true).max() <= hc * c + noise
+        assert np.abs(moved.kappa - prof.kappa).max() <= round_k
+        assert np.abs(moved.tau - prof.tau).max() <= round_t
 
 
 # ----------------------------------------------------------------- smoothing

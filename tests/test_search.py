@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskrod.curves import CTProfile
 from diskrod.errors import EmptyOverlap, IndexRangeInvalid, InvalidBracket
@@ -118,6 +120,35 @@ def test_memoization_of_quantized_duplicates():
 
     golden_section(f, GoldenSearchSpec(lo=0.0, hi=90.0, tol=1.0, quantize=1.0))
     assert len(calls) == len(set(calls))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-100.0, 100.0), st.floats(0.5, 200.0), st.floats(1e-6, 1.0),
+       st.one_of(st.none(), st.integers(1, 100)),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_never_worse_than_best_seed_point(lo, width, tol, steps, seeds, extra_evals, seed):
+    # a multimodal objective, so the bracket may shrink away from the seeds;
+    # with a grid, the seeds sit on it so that each is evaluated where given
+    rng = np.random.default_rng(seed)
+    amp, freq, phase = rng.uniform(0.1, 2.0, 4), rng.uniform(0.1, 5.0, 4), rng.uniform(0, 6.3, 4)
+
+    def f(x):
+        return float(np.sum(amp * np.sin(freq * (x - lo) / width * 2.0 * np.pi + phase)))
+
+    hi = lo + width
+    quantize = None if steps is None else (hi - lo) / steps
+    spec = GoldenSearchSpec(lo=lo, hi=hi, tol=tol, quantize=quantize,
+                            max_evals=len(seeds) + extra_evals)
+    if quantize is None:
+        seed_points = [lo + u * width for u in seeds]
+    else:
+        seed_points = [lo + round(u * steps) * quantize for u in seeds]
+        seed_points = [x for x in seed_points if x <= spec.hi] or [lo]
+    trace = golden_section(f, spec, seed_points=seed_points)
+    assert trace.best_f <= min(f(x) for x in seed_points)
+    assert f(trace.best_x) == trace.best_f
+    assert spec.lo <= trace.best_x <= spec.hi
 
 
 # ------------------------------------------------------------------- metrics
