@@ -399,22 +399,22 @@ def solve_equilibrium(config: ManipulatorConfig, actuation: ActuationState,
     if not np.isfinite(e0):
         raise NonFiniteEnergy(f"energy at start is {e0}")
 
-    # gradient and tendon side at each point the objective evaluated, so a
-    # Hessian-vector product at an iterate costs one more gradient
+    # energy, gradient and tendon path at each point the objective evaluated, so a
+    # Hessian-vector product costs one more gradient and the result costs none
     evaluated = {}
 
     def objective(p):
-        e, g, path = _energy_and_gradient(p, config, theta, l_ref, masses)
-        evaluated[p.tobytes()] = (g, path > l_ref)
+        e, g, _ = evaluated[p.tobytes()] = _energy_and_gradient(p, config, theta, l_ref, masses)
         return e, g
 
     def hessp(p, v):
-        return _hessian_vector(p, v, *evaluated[p.tobytes()], config, theta, l_ref, masses)
+        _, g, path = evaluated[p.tobytes()]
+        return _hessian_vector(p, v, g, path > l_ref, config, theta, l_ref, masses)
 
     res = minimize(objective, x, jac=True, hessp=hessp, method="trust-krylov",
                    options=dict(maxiter=MAX_ITERATIONS, gtol=0.3 * GRAD_TOL_MJ_PER_RAD))
     x = res.x
-    energy, grad, path = _energy_and_gradient(x, config, theta, l_ref, masses)
+    energy, grad, path = evaluated[x.tobytes()]
     if not np.isfinite(energy):
         raise NonFiniteEnergy(f"energy at solution is {energy}")
     gradient_inf_norm = float(np.abs(grad).max())

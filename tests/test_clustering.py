@@ -22,8 +22,10 @@ def blob_instance(seed, n_blobs=9, pts_per_blob=8, sigma=1.0, spacing=70.0):
     return RawPointSet(points=pts), centers
 
 
-def oracle_partition(points, eps, min_pts):
-    """Independent density-reachability oracle via sparse graph components."""
+def oracle_labels(points, eps, min_pts):
+    """Independent density-reachability oracle via sparse graph components:
+    a cluster number per point, in order of each cluster's lowest-indexed core
+    point, and -1 for noise."""
     pts = np.asarray(points, float)
     n = len(pts)
     d2 = np.sum((pts[:, None] - pts[None, :]) ** 2, axis=2)
@@ -44,9 +46,22 @@ def oracle_partition(points, eps, min_pts):
             reach = core_idx[nbr[i, core_idx]]
             if reach.size:
                 labels[i] = labels[reach.min()]
+    return labels
+
+
+def oracle_partition(points, eps, min_pts):
+    labels = oracle_labels(points, eps, min_pts)
     clusters = [frozenset(np.nonzero(labels == c)[0]) for c in range(labels.max() + 1)]
     noise = frozenset(np.nonzero(labels == -1)[0])
     return set(clusters), noise
+
+
+def labels_of(result, n):
+    """The cluster number of each of n points, -1 for noise."""
+    labels = np.full(n, -1)
+    for c, members in enumerate(result.clusters):
+        labels[members] = c
+    return labels
 
 
 def as_partition(result):
@@ -240,6 +255,72 @@ def test_neighbors_at_exactly_eps_count(points, eps, min_pts, clusters, noise):
     result = dbscan(RawPointSet(points=points), eps=eps, min_pts=min_pts)
     assert [c.tolist() for c in result.clusters] == clusters
     assert result.noise.tolist() == noise
+
+
+def zigzag(n):
+    """0, n-1, 1, n-2, ...: neighbors along a chain alternate low and high indices."""
+    return np.ravel(np.column_stack([np.arange(n), np.arange(n)[::-1]]))[:n]
+
+
+# point k along the chains gets index order[k]: reversed indices need long
+# pointer jumps, zig-zag and permuted ones several hooking rounds
+@pytest.mark.parametrize("index_order", [
+    lambda n: np.arange(n)[::-1],
+    zigzag,
+    lambda n: np.random.default_rng(n).permutation(n),
+], ids=["reversed", "zigzag", "permuted"])
+@pytest.mark.parametrize("min_pts", [1, 2, 3])
+def test_chains_in_any_index_order_match_oracle(index_order, min_pts):
+    # three straight chains of 150 points 1 mm apart, 10 mm from each other
+    along = np.column_stack([np.tile(np.arange(150.0), 3), np.repeat([0.0, 10.0, 20.0], 150),
+                             np.zeros(450)])
+    pts = np.empty_like(along)
+    pts[index_order(450)] = along
+    result = dbscan(RawPointSet(points=pts), eps=1.5, min_pts=min_pts)
+    assert len(result.clusters) == 3
+    np.testing.assert_array_equal(labels_of(result, 450), oracle_labels(pts, 1.5, min_pts))
+
+
+@pytest.mark.parametrize("center", [0, 60, 120])
+def test_star_matches_oracle(center):
+    # six arms of 20 points 1 mm apart along +-x, +-y, +-z; arms meet only at
+    # the center, and the arms' points are indexed round-robin
+    arms = np.vstack([np.eye(3), -np.eye(3)])
+    along = np.vstack([np.zeros((1, 3))] + [k * arms for k in range(1, 21)])
+    pts = np.roll(along, center, axis=0)
+    result = dbscan(RawPointSet(points=pts), eps=1.0, min_pts=2)
+    assert [c.tolist() for c in result.clusters] == [list(range(121))]
+    np.testing.assert_array_equal(labels_of(result, 121), oracle_labels(pts, 1.0, 2))
+
+
+def test_isolated_points_are_one_cluster_each_at_min_pts_1():
+    # 1000 points on a 10 mm grid in shuffled order, no two within eps
+    grid = np.stack(np.meshgrid(*[np.arange(10.0) * 10] * 3, indexing="ij"), -1).reshape(-1, 3)
+    pts = grid[np.random.default_rng(3).permutation(1000)]
+    result = dbscan(RawPointSet(points=pts), eps=1.0, min_pts=1)
+    assert [c.tolist() for c in result.clusters] == [[k] for k in range(1000)]
+    np.testing.assert_array_equal(result.centroids, pts)
+
+
+@pytest.mark.parametrize("min_pts", [2, 4, 5, 6])
+def test_duplicate_points_match_oracle(min_pts):
+    # four sites repeated 1-5 times, interleaved; sites 0 and 1 are 1 mm apart
+    sites = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [5.0, 0.0, 0.0], [9.0, 0.0, 0.0]])
+    pts = sites[[3, 0, 2, 1, 0, 2, 3, 0, 2, 1, 0, 2, 0, 3, 2]]
+    result = dbscan(RawPointSet(points=pts), eps=1.0, min_pts=min_pts)
+    np.testing.assert_array_equal(labels_of(result, len(pts)), oracle_labels(pts, 1.0, min_pts))
+    for members, centroid in zip(result.clusters, result.centroids):
+        np.testing.assert_array_equal(pts[members].mean(axis=0), centroid)
+
+
+def test_clusters_ordered_by_lowest_core_point_not_first_member():
+    # index 0 is a border point of the cluster at x ~ 100, whose lowest core
+    # point (5) comes after the lowest core point of the cluster at x ~ 0 (1)
+    line = np.array([100.75, 0.0, 0.1, 0.2, 0.3, 100.0, 100.1, 100.2, 100.3])
+    pts = np.column_stack([line, np.zeros(9), np.zeros(9)])
+    result = dbscan(RawPointSet(points=pts), eps=0.5, min_pts=3)
+    assert [c.tolist() for c in result.clusters] == [[1, 2, 3, 4], [0, 5, 6, 7, 8]]
+    np.testing.assert_array_equal(labels_of(result, 9), oracle_labels(pts, 0.5, 3))
 
 
 def test_memory_stays_below_one_dense_matrix():
