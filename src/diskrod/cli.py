@@ -241,11 +241,11 @@ def cmd_match(args) -> int:
     config = _load_config(args)
     target = read_curve_csv(args.target)
     params = MatchParams()
+    profile = analysis_profile(target, config, params)
     if args.threshold_rel is not None:
-        params = MatchParams(sign_change_threshold=_absolute_threshold(
-            args.threshold_rel, analysis_profile(target, config, params)))
+        params = MatchParams(sign_change_threshold=_absolute_threshold(args.threshold_rel, profile))
 
-    result = match_shape(target, config, params)
+    result = match_shape(target, config, params, profile)
     out = _out_dir(args)
     manifest = RunManifest(
         command="match",

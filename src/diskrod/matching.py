@@ -164,7 +164,8 @@ def _probe(spec: GoldenSearchSpec, seed: float, state_at, score, label,
 
 
 def step1_identify(target: Curve3D, config: ManipulatorConfig,
-                   params: MatchParams = MatchParams()) -> list[DiskHypothesis]:
+                   params: MatchParams = MatchParams(),
+                   target_profile: CTProfile | None = None) -> list[DiskHypothesis]:
     """Disk-rotation hypotheses from torsion sign changes of the target.
 
     Crossings near the two most distal disks are deferred: the tip region is
@@ -178,7 +179,7 @@ def step1_identify(target: Curve3D, config: ManipulatorConfig,
         raise ValueError(
             f"target arc length {target.length:.1f} mm does not span the "
             f"{config.backbone_length_mm:.0f} mm backbone")
-    profile = analysis_profile(target, config, params)
+    profile = target_profile or analysis_profile(target, config, params)
     crossings = torsion_sign_changes(profile, config.disk_arc_positions_mm,
                                      params.sign_change_threshold)
     deferral_cutoff = config.n_disks - 2
@@ -203,7 +204,8 @@ def _full_deflection_angles(hyps: list[DiskHypothesis], config) -> list[float]:
 
 def step2_tendon(target: Curve3D, hyps: list[DiskHypothesis],
                  config: ManipulatorConfig, params: MatchParams = MatchParams(),
-                 cache: WarmStartCache | None = None) -> SearchTrace:
+                 cache: WarmStartCache | None = None,
+                 target_profile: CTProfile | None = None) -> SearchTrace:
     """Tendon displacement minimizing the curvature-profile RMSE.
 
     The identified disks sit at full deflection in their hypothesized
@@ -211,7 +213,7 @@ def step2_tendon(target: Curve3D, hyps: list[DiskHypothesis],
     nearly independent of the eventual rotation magnitudes.
     """
     cache = cache if cache is not None else WarmStartCache()
-    target_profile = analysis_profile(target, config, params)
+    target_profile = target_profile or analysis_profile(target, config, params)
     angles = tuple(_full_deflection_angles(hyps, config))
     spec = GoldenSearchSpec(lo=0.0, hi=TENDON_MAX_MM, tol=params.tendon_tol_mm,
                             max_evals=params.max_evals)
@@ -224,7 +226,7 @@ def step2_tendon(target: Curve3D, hyps: list[DiskHypothesis],
         config, cache)
 
 
-def step3_angles(target: Curve3D, hyps: list[DiskHypothesis], tendon_mm: float,
+def step3_angles(target: Curve3D | np.ndarray, hyps: list[DiskHypothesis], tendon_mm: float,
                  config: ManipulatorConfig, params: MatchParams = MatchParams(),
                  cache: WarmStartCache | None = None
                  ) -> tuple[list[SearchTrace], list[float]]:
@@ -261,7 +263,7 @@ def step3_angles(target: Curve3D, hyps: list[DiskHypothesis], tendon_mm: float,
     return traces, angles
 
 
-def step4_tip(target: Curve3D, state: ActuationState, config: ManipulatorConfig,
+def step4_tip(target: Curve3D | np.ndarray, state: ActuationState, config: ManipulatorConfig,
               params: MatchParams = MatchParams(),
               cache: WarmStartCache | None = None) -> SearchTrace:
     """Penultimate-disk angle minimizing shape RMSE over the tip region."""
@@ -282,33 +284,36 @@ def step4_tip(target: Curve3D, state: ActuationState, config: ManipulatorConfig,
 
 
 def match_shape(target: Curve3D, config: ManipulatorConfig,
-                params: MatchParams = MatchParams()) -> MatchResult:
-    """Run the four matching steps and assemble the recovered actuation."""
+                params: MatchParams = MatchParams(),
+                target_profile: CTProfile | None = None) -> MatchResult:
+    """Run the four matching steps and assemble the recovered actuation; the target's
+    ``analysis_profile`` (``target_profile`` if given) and centers are taken once."""
     cache = WarmStartCache()
-    hyps = step1_identify(target, config, params)
-    trace2 = step2_tendon(target, hyps, config, params, cache)
+    target_profile = target_profile or analysis_profile(target, config, params)
+    target_centers = corresponding_centers(target, config.n_disks)
+    hyps = step1_identify(target, config, params, target_profile)
+    trace2 = step2_tendon(target, hyps, config, params, cache, target_profile)
     state2 = ActuationState(tendon_mm=float(trace2.best_x),
                             disk_angles_deg=tuple(_full_deflection_angles(hyps, config)))
 
-    traces3, angles = step3_angles(target, hyps, state2.tendon_mm, config, params, cache)
+    traces3, angles = step3_angles(target_centers, hyps, state2.tendon_mm, config, params, cache)
     state3 = replace(state2, disk_angles_deg=tuple(angles))
 
-    trace4 = step4_tip(target, state3, config, params, cache)
+    trace4 = step4_tip(target_centers, state3, config, params, cache)
     state4 = state3.with_angle(config.n_disks - 1, float(trace4.best_x))
 
     # each step's search evaluated its end state, so these are cache hits
     stages = {name: MatchStage(state, forward(config, state, cache))
               for name, state in (("step2", state2), ("step3", state3), ("step4", state4))}
     attained = stages["step4"].shape
-    target_profile = analysis_profile(target, config, params)
     return MatchResult(
         hypotheses=hyps,
         step2_trace=trace2,
         step3_traces=traces3,
         step4_trace=trace4,
         stages=stages,
-        shape_rmse_cm=rmse_shape(target, attained, (0, config.n_disks), config.n_disks),
+        shape_rmse_cm=rmse_shape(target_centers, attained, (0, config.n_disks), config.n_disks),
         curvature_rmse_per_cm=rmse_curvature(
             target_profile, analysis_profile(attained.dense_curve, config, params)),
-        tip_error_mm=tip_error(target, attained, config.n_disks),
+        tip_error_mm=tip_error(target_centers, attained, config.n_disks),
     )

@@ -33,7 +33,6 @@ MAX_ITERATIONS = 5000
 # gravitational energy in mJ = mass[g] * g[m/s^2] * height[mm] * 1e-3
 _GRAV_MJ = 1e-3
 _TANGENT = np.array([0.0, 0.0, -1.0])
-_HESSP_STEP = 1.5e-8  # ~sqrt(machine epsilon): forward-difference step scale
 
 
 def _is_real(value) -> bool:
@@ -169,9 +168,11 @@ class EquilibriumReport:
     energy_mj: float
     gradient_inf_norm: float
     iterations: int
+    evaluations: int  # energy-and-gradient kernel calls the solve made
     converged: bool
     tendon_path_length_mm: float
     dof: np.ndarray  # strains (n_elements, 3), minimizer
+    hess_inv: np.ndarray | None = None  # BFGS inverse Hessian (rad^2/mJ), exactly symmetric
 
 
 def _check_actuation(config: ManipulatorConfig, actuation: ActuationState) -> None:
@@ -248,12 +249,8 @@ def tendon_path_length(shape: Shape, config: ManipulatorConfig,
 
 def _energy_and_gradient(psi_flat: np.ndarray, config: ManipulatorConfig,
                          theta_rad: np.ndarray, l_ref: float,
-                         node_masses: np.ndarray, want_grad: bool = True,
-                         taut: bool | None = None):
+                         node_masses: np.ndarray, want_grad: bool = True):
     """Total energy (mJ) and its gradient w.r.t. per-element rotation vectors.
-
-    ``taut`` fixes which side of the slack/taut kink the tendon term is
-    evaluated on; None decides from the stretch.
 
     The gradient treats each element's rotation vector as the coordinate;
     perturbing element k moves everything distal to it rigidly, so the
@@ -284,8 +281,7 @@ def _energy_and_gradient(psi_flat: np.ndarray, config: ManipulatorConfig,
     edge_len = np.linalg.norm(edges, axis=1)
     path = float(edge_len.sum())
     stretch = path - l_ref
-    if taut is None:
-        taut = stretch > 0.0
+    taut = stretch > 0.0
     k_t = config.tendon_stiffness_n_per_mm
     e_tendon = 0.5 * k_t * stretch**2 if taut else 0.0
 
@@ -357,24 +353,14 @@ def _make_shape(positions, frames, config: ManipulatorConfig) -> Shape:
                  dense_curve=arc_length_parameterize(positions))
 
 
-def _hessian_vector(psi_flat, v, grad, taut: bool, config: ManipulatorConfig,
-                    theta_rad, l_ref: float, node_masses):
-    """Hessian times ``v``: a forward difference of the gradient ``grad`` at
-    ``psi_flat``, with the tendon held on its ``taut`` side at both points."""
-    eps = _HESSP_STEP * (1.0 + np.linalg.norm(psi_flat)) / np.linalg.norm(v)
-    _, g_step, _ = _energy_and_gradient(psi_flat + eps * v, config, theta_rad, l_ref,
-                                        node_masses, taut=taut)
-    return (g_step - grad) / eps
-
-
 def solve_equilibrium(config: ManipulatorConfig, actuation: ActuationState,
-                      warm_start: np.ndarray | None = None) -> EquilibriumReport:
-    """Minimize total energy over the rod strains (trust-region Newton-Krylov).
-
-    One ``trust-krylov`` solve (GLTR) on the analytic gradient.  Its
-    Hessian-vector products are forward differences of that gradient with
-    the tendon held on the slack or taut side it has at the iterate, so a
-    product never straddles the kink where the tendon goes taut.
+                      warm_start: np.ndarray | None = None,
+                      warm_hess_inv: np.ndarray | None = None) -> EquilibriumReport:
+    """Minimize total energy over the rod strains: one BFGS solve on the
+    analytic gradient.  ``warm_start`` (strains) and ``warm_hess_inv`` (a
+    report's ``hess_inv``) carry a neighbouring solve's minimizer and learnt
+    curvature; the inverse Hessian otherwise starts as the inverse elastic
+    diagonal, ``L / [EI, EI, GJ]`` per element.
 
     Converged means the gradient infinity norm (mJ/rad, w.r.t. per-element
     rotation vectors) is at or below GRAD_TOL_MJ_PER_RAD.  Slow convergence
@@ -390,34 +376,36 @@ def solve_equilibrium(config: ManipulatorConfig, actuation: ActuationState,
         if warm.size != 3 * n_el:
             raise DimensionMismatch(f"warm_start must have {3 * n_el} entries")
         x = warm.reshape(-1) * length
+    if warm_hess_inv is None:
+        stiff = np.array([config.bending_stiffness, config.bending_stiffness,
+                          config.torsion_stiffness])
+        warm_hess_inv = np.diag(np.tile(length / stiff, n_el))
 
     theta = np.deg2rad(actuation.disk_angles_deg)
     l_ref = slack_path_length(config, actuation) - actuation.tendon_mm
     masses = config.node_masses_g()
 
-    e0, _, _ = _energy_and_gradient(x, config, theta, l_ref, masses, want_grad=False)
-    if not np.isfinite(e0):
-        raise NonFiniteEnergy(f"energy at start is {e0}")
-
-    # energy, gradient and tendon path at each point the objective evaluated, so a
-    # Hessian-vector product costs one more gradient and the result costs none
-    evaluated = {}
+    # The result is the evaluated point with the smallest gradient, not res.x: the
+    # energy (~1e2-1e3 mJ) is only good to ~1e-12 mJ, so near a minimizer the line
+    # search can reject an already stationary trial point and stop ("precision loss").
+    evaluations = 0
+    best = None  # (gradient inf norm, point, energy, tendon path)
 
     def objective(p):
-        e, g, _ = evaluated[p.tobytes()] = _energy_and_gradient(p, config, theta, l_ref, masses)
+        nonlocal evaluations, best
+        evaluations += 1
+        e, g, path = _energy_and_gradient(p, config, theta, l_ref, masses)
+        if not np.isfinite(e):
+            raise NonFiniteEnergy(f"energy {e} after {evaluations} evaluations")
+        g_norm = float(np.abs(g).max())
+        if best is None or g_norm < best[0]:
+            best = (g_norm, p.copy(), e, path)
         return e, g
 
-    def hessp(p, v):
-        _, g, path = evaluated[p.tobytes()]
-        return _hessian_vector(p, v, g, path > l_ref, config, theta, l_ref, masses)
-
-    res = minimize(objective, x, jac=True, hessp=hessp, method="trust-krylov",
-                   options=dict(maxiter=MAX_ITERATIONS, gtol=0.3 * GRAD_TOL_MJ_PER_RAD))
-    x = res.x
-    energy, grad, path = evaluated[x.tobytes()]
-    if not np.isfinite(energy):
-        raise NonFiniteEnergy(f"energy at solution is {energy}")
-    gradient_inf_norm = float(np.abs(grad).max())
+    res = minimize(objective, x, jac=True, method="BFGS",
+                   options=dict(maxiter=MAX_ITERATIONS, gtol=0.3 * GRAD_TOL_MJ_PER_RAD,
+                                norm=np.inf, hess_inv0=warm_hess_inv))
+    gradient_inf_norm, x, energy, path = best
     positions, frames, _ = _propagate(x.reshape(n_el, 3), config)
     shape = _make_shape(positions, frames, config)
     return EquilibriumReport(
@@ -425,19 +413,23 @@ def solve_equilibrium(config: ManipulatorConfig, actuation: ActuationState,
         energy_mj=float(energy),
         gradient_inf_norm=gradient_inf_norm,
         iterations=int(res.nit),
+        evaluations=evaluations,
         converged=gradient_inf_norm <= GRAD_TOL_MJ_PER_RAD,
         tendon_path_length_mm=float(path),
         dof=(x.reshape(n_el, 3) / length),
+        hess_inv=0.5 * (res.hess_inv + res.hess_inv.T),
     )
 
 
 class WarmStartCache:
-    """Thread-safe memo of solved actuations plus the most recent minimizer."""
+    """Thread-safe memo of solved actuations plus the most recent report,
+    whose minimizer and ``hess_inv`` start the next solve.  Only that last
+    slot keeps ``hess_inv`` (3n x 3n); the memoised reports drop it."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._reports: dict[tuple, EquilibriumReport] = {}
-        self._last_dof: np.ndarray | None = None
+        self._last: EquilibriumReport | None = None
 
     @staticmethod
     def _key(actuation: ActuationState) -> tuple:
@@ -447,14 +439,16 @@ class WarmStartCache:
         with self._lock:
             return self._reports.get(self._key(actuation))
 
-    def last_dof(self) -> np.ndarray | None:
+    def last_start(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Minimizer (strains) and ``hess_inv`` of the most recent solve."""
         with self._lock:
-            return None if self._last_dof is None else self._last_dof.copy()
+            last = self._last
+        return (None, None) if last is None else (last.dof, last.hess_inv)
 
     def store(self, actuation: ActuationState, report: EquilibriumReport) -> None:
         with self._lock:
-            self._reports[self._key(actuation)] = report
-            self._last_dof = report.dof.copy()
+            self._reports[self._key(actuation)] = replace(report, hess_inv=None)
+            self._last = report
 
 
 def forward(config: ManipulatorConfig, actuation: ActuationState,
@@ -464,10 +458,10 @@ def forward(config: ManipulatorConfig, actuation: ActuationState,
         hit = cache.lookup(actuation)
         if hit is not None:
             return hit.shape
-        warm = cache.last_dof()
+        warm, hess_inv = cache.last_start()
     else:
-        warm = None
-    report = solve_equilibrium(config, actuation, warm_start=warm)
+        warm, hess_inv = None, None
+    report = solve_equilibrium(config, actuation, warm_start=warm, warm_hess_inv=hess_inv)
     if not report.converged:
         raise SolverNotConverged(
             f"gradient {report.gradient_inf_norm:.3e} mJ/rad after {report.iterations} iterations")

@@ -310,6 +310,35 @@ def test_match_overlays_cost_no_solves(tmp_path, fast_config_path, fast_match, m
     assert len(calls) == direct
 
 
+def test_match_profiles_and_samples_the_target_once(tmp_path, fast_config_path, fast_match,
+                                                    monkeypatch):
+    import diskrod.cli as cli
+    import diskrod.matching as matching
+    import diskrod.search as search
+    from diskrod.curves import Curve3D
+    target_path, _ = fast_match
+    target_points = read_curve_csv(target_path).points
+    profiled, sampled = [], []
+
+    def spy(module, name, record):
+        real = getattr(module, name)
+
+        def wrapped(curve, *args, **kwargs):
+            if isinstance(curve, Curve3D) and np.array_equal(curve.points, target_points):
+                record.append(name)
+            return real(curve, *args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module in (cli, matching):
+        spy(module, "analysis_profile", profiled)
+    for module in (matching, search):
+        spy(module, "corresponding_centers", sampled)
+    assert run_cli("match", str(target_path), "--config", fast_config_path,
+                   "--threshold-rel", "0.2", "--out-dir", str(tmp_path / "m")) == 0
+    assert len(profiled) == 1
+    assert len(sampled) == 1  # the overlays sample it in cli, outside the match
+
+
 def test_canonical_json_formatting():
     text = dumps_canonical({"a": 0.1234567891234, "b": [1.0, 2.5e-7], "c": True})
     assert "0.123456789" in text
