@@ -25,7 +25,6 @@ from .fileio import (actuation_to_dict, config_hash, config_to_dict,
                      write_profile_csv)
 from .matching import MatchParams, analysis_profile, match_shape
 from .model import ActuationState, ManipulatorConfig, solve_equilibrium
-from .search import corresponding_centers
 from .svgplot import Panel, Series, render_panels
 
 EXIT_OK = 0
@@ -215,10 +214,11 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
-def _overlay_panels(target_curve, shape, config, title: str) -> list[Panel]:
+def _overlay_panels(target_curve, t_disks, shape, title: str) -> list[Panel]:
+    """x-z and y-z views of the target against a stage's attained shape, each
+    with its corresponding centers (``t_disks`` for the target)."""
     tc = target_curve.points
     ac = shape.dense_curve.points
-    t_disks = corresponding_centers(target_curve, config.n_disks)
     a_disks = shape.disk_centers
     panels = []
     for title_sfx, ix, iy, xl, yl in (("x-z", 0, 2, "x (mm)", "z (mm)"),
@@ -258,7 +258,7 @@ def cmd_match(args) -> int:
 
     # one overlay per pipeline stage, echoing the iterative-overlay figures
     for name, stage in result.stages.items():
-        svg = render_panels(_overlay_panels(target, stage.shape, config,
+        svg = render_panels(_overlay_panels(target, result.target_centers, stage.shape,
                                             f"target vs attained after {name}"))
         (out / f"overlay_{name}.svg").write_text(svg)
         manifest.outputs.append(f"overlay_{name}.svg")

@@ -75,6 +75,7 @@ class MatchResult:
     step3_traces: list[SearchTrace]
     step4_trace: SearchTrace
     stages: dict[str, MatchStage]  # "step2", "step3", "step4", in order
+    target_centers: np.ndarray  # the target's corresponding centers, row 0 = base plate
     shape_rmse_cm: float
     curvature_rmse_per_cm: float
     tip_error_mm: float
@@ -312,6 +313,7 @@ def match_shape(target: Curve3D, config: ManipulatorConfig,
         step3_traces=traces3,
         step4_trace=trace4,
         stages=stages,
+        target_centers=target_centers,
         shape_rmse_cm=rmse_shape(target_centers, attained, (0, config.n_disks), config.n_disks),
         curvature_rmse_per_cm=rmse_curvature(
             target_profile, analysis_profile(attained.dense_curve, config, params)),

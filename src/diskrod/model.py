@@ -16,15 +16,21 @@ from __future__ import annotations
 
 import numbers
 import threading
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import line_search
+# Like scipy's own BFGS, try the MINPACK (Wolfe-1) search first and fall back to
+# the public ``line_search`` (Wolfe-2): the public search alone made 4795 kernel
+# calls against 4106 on six seed-1 bench match chains.  Neither Wolfe-1 nor the
+# warning the fallback raises when it gives up has a public name.
+from scipy.optimize._linesearch import LineSearchWarning, line_search_wolfe1
 
 from .curves import Curve3D, arc_length_parameterize
 from .errors import DimensionMismatch, NonFiniteEnergy, SolverNotConverged
-from .rotations import (coefficients, cross, d_left_jacobian_apply_t, exp_so3,
-                        left_jacobian_apply)
+from .rotations import (coefficients, cross, d_left_jacobian_tangent_t, exp_so3,
+                        left_jacobian_apply, left_jacobian_tangent)
 
 TENDON_MAX_MM = 140.0
 DISK_ANGLE_MAX_DEG = 90.0
@@ -32,7 +38,6 @@ GRAD_TOL_MJ_PER_RAD = 1e-4
 MAX_ITERATIONS = 5000
 # gravitational energy in mJ = mass[g] * g[m/s^2] * height[mm] * 1e-3
 _GRAV_MJ = 1e-3
-_TANGENT = np.array([0.0, 0.0, -1.0])
 
 
 def _is_real(value) -> bool:
@@ -172,7 +177,9 @@ class EquilibriumReport:
     converged: bool
     tendon_path_length_mm: float
     dof: np.ndarray  # strains (n_elements, 3), minimizer
-    hess_inv: np.ndarray | None = None  # BFGS inverse Hessian (rad^2/mJ), exactly symmetric
+    # BFGS inverse Hessian (rad^2/mJ) at the solve's last update; the rank-two
+    # update keeps it exactly symmetric, so it can start the next solve as is
+    hess_inv: np.ndarray | None = None
 
 
 def _check_actuation(config: ManipulatorConfig, actuation: ActuationState) -> None:
@@ -181,35 +188,45 @@ def _check_actuation(config: ManipulatorConfig, actuation: ActuationState) -> No
             f"{len(actuation.disk_angles_deg)} disk angles for {config.n_disks} disks")
 
 
-def _propagate(psi: np.ndarray, config: ManipulatorConfig):
+def _propagate(psi: np.ndarray, length: float):
     """Node positions, node frames and the rotation coefficients of the
-    per-element rotation vectors ``psi`` (n_elements, 3)."""
+    per-element rotation vectors ``psi`` (n_elements, 3), elements ``length`` mm."""
     coeffs = coefficients(psi)
     rotations = exp_so3(psi, coeffs)
     frames = np.empty((len(psi) + 1, 3, 3))
     frames[0] = np.eye(3)
     for k, rot in enumerate(rotations):
         np.matmul(frames[k], rot, out=frames[k + 1])
-    steps = config.element_length_mm * left_jacobian_apply(psi, _TANGENT, coeffs)
+    steps = length * left_jacobian_tangent(psi, coeffs)
     positions = np.zeros((len(psi) + 1, 3))
     np.cumsum(np.einsum("kij,kj->ki", frames[:-1], steps), axis=0, out=positions[1:])
     return positions, frames, coeffs
 
 
+def _disk_row_indices(config: ManipulatorConfig) -> np.ndarray:
+    """Node indices of the base plate and disks 1..n (disk 1 shares node 0)."""
+    return np.concatenate(([0], config.disk_node_indices))
+
+
 def _disk_rows(positions, frames, config: ManipulatorConfig):
     """Base-plate row plus one row per disk, picked from the node arrays."""
-    rows = np.concatenate(([0], config.disk_node_indices))
+    rows = _disk_row_indices(config)
     return positions[rows], frames[rows]
 
 
-def _tendon_holes(centers, frames, theta_rad, radius: float):
+def _local_holes(theta_rad, radius: float) -> np.ndarray:
+    """Hole offsets in the base-plate and disk frames: the base anchor sits at
+    angle zero, disk i's hole at ``theta_rad[i]``."""
+    theta = np.concatenate(([0.0], theta_rad))
+    return radius * np.column_stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)])
+
+
+def _tendon_holes(centers, frames, local):
     """Hole positions (base anchor first) and the per-disk radial offsets.
 
-    ``centers``/``frames`` hold the base-plate row plus disks 1..n; the base
-    anchor sits at angle zero, disk i's hole at ``theta_rad[i]``.
+    ``centers``/``frames`` hold the base-plate row plus disks 1..n, ``local``
+    the matching ``_local_holes``.
     """
-    theta = np.concatenate(([0.0], theta_rad))
-    local = radius * np.column_stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)])
     offsets = np.einsum("kij,kj->ki", frames, local)
     return centers + offsets, offsets[1:]
 
@@ -226,8 +243,8 @@ def slack_path_length(config: ManipulatorConfig, actuation: ActuationState) -> f
     positions[:, 2] = -np.arange(n_nodes) * config.element_length_mm
     frames = np.broadcast_to(np.eye(3), (n_nodes, 3, 3))
     holes, _ = _tendon_holes(*_disk_rows(positions, frames, config),
-                             np.deg2rad(actuation.disk_angles_deg),
-                             config.tendon_hole_radius_mm)
+                             _local_holes(np.deg2rad(actuation.disk_angles_deg),
+                                          config.tendon_hole_radius_mm))
     return _polyline_length(holes)
 
 
@@ -236,8 +253,8 @@ def tendon_hole_positions(shape: Shape, config: ManipulatorConfig,
     """Hole positions on the (possibly deformed) shape, base anchor first."""
     _check_actuation(config, actuation)
     holes, _ = _tendon_holes(shape.disk_centers, shape.disk_frames,
-                             np.deg2rad(actuation.disk_angles_deg),
-                             config.tendon_hole_radius_mm)
+                             _local_holes(np.deg2rad(actuation.disk_angles_deg),
+                                          config.tendon_hole_radius_mm))
     return holes
 
 
@@ -247,9 +264,49 @@ def tendon_path_length(shape: Shape, config: ManipulatorConfig,
     return _polyline_length(tendon_hole_positions(shape, config, actuation))
 
 
-def _energy_and_gradient(psi_flat: np.ndarray, config: ManipulatorConfig,
-                         theta_rad: np.ndarray, l_ref: float,
-                         node_masses: np.ndarray, want_grad: bool = True):
+@dataclass(frozen=True, eq=False)
+class _Rod:
+    """What ``_energy_and_gradient`` needs besides the strains: one config
+    under one actuation, built once per solve."""
+
+    n_el: int
+    length: float              # element length, mm
+    stiff: np.ndarray          # [EI, EI, GJ], N mm^2
+    gravity: np.ndarray        # m/s^2
+    masses: np.ndarray         # lumped node masses, g
+    gravity_force: np.ndarray  # gravity's dE/dq at the nodes, (n_nodes, 3)
+    rows: np.ndarray           # node indices of the base plate and disks 1..n
+    local_holes: np.ndarray    # ``_local_holes`` of the actuation's disk angles
+    l_ref: float               # tendon rest length, mm
+    k_t: float                 # tendon stiffness, N/mm
+
+
+def _rod(config: ManipulatorConfig, theta_rad: np.ndarray, l_ref: float) -> _Rod:
+    """Kernel constants for disk angles ``theta_rad`` and tendon rest length ``l_ref``."""
+    gravity = np.asarray(config.gravity_m_per_s2)
+    masses = config.node_masses_g()
+    return _Rod(
+        n_el=config.n_elements,
+        length=config.element_length_mm,
+        stiff=np.array([config.bending_stiffness, config.bending_stiffness,
+                        config.torsion_stiffness]),
+        gravity=gravity,
+        masses=masses,
+        gravity_force=np.outer(masses, -_GRAV_MJ * gravity),
+        rows=_disk_row_indices(config),
+        local_holes=_local_holes(theta_rad, config.tendon_hole_radius_mm),
+        l_ref=l_ref,
+        k_t=config.tendon_stiffness_n_per_mm,
+    )
+
+
+def _actuated_rod(config: ManipulatorConfig, actuation: ActuationState) -> _Rod:
+    """Kernel constants for an actuation: its disk angles and tendon rest length."""
+    return _rod(config, np.deg2rad(actuation.disk_angles_deg),
+                slack_path_length(config, actuation) - actuation.tendon_mm)
+
+
+def _energy_and_gradient(psi_flat: np.ndarray, rod: _Rod, want_grad: bool = True):
     """Total energy (mJ) and its gradient w.r.t. per-element rotation vectors.
 
     The gradient treats each element's rotation vector as the coordinate;
@@ -260,40 +317,33 @@ def _energy_and_gradient(psi_flat: np.ndarray, config: ManipulatorConfig,
     (right Jacobian) and the translation integral (derivative of the left
     Jacobian), evaluated for all elements at once.
     """
-    n_el = config.n_elements
-    length = config.element_length_mm
-    psi = psi_flat.reshape(n_el, 3)
-    ei = config.bending_stiffness
-    gj = config.torsion_stiffness
-    gravity = np.asarray(config.gravity_m_per_s2)
+    length = rod.length
+    psi = psi_flat.reshape(rod.n_el, 3)
 
-    positions, frames, coeffs = _propagate(psi, config)
+    positions, frames, coeffs = _propagate(psi, length)
 
-    stiff = np.array([ei, ei, gj])
-    e_elastic = float(np.sum(psi * psi * stiff) / (2.0 * length))
+    e_elastic = float(np.sum(psi * psi * rod.stiff) / (2.0 * length))
 
-    e_gravity = -_GRAV_MJ * float(node_masses @ (positions @ gravity))
+    e_gravity = -_GRAV_MJ * float(rod.masses @ (positions @ rod.gravity))
 
     # tendon path through holes at the current deformation
-    holes, radials = _tendon_holes(*_disk_rows(positions, frames, config),
-                                   theta_rad, config.tendon_hole_radius_mm)
-    edges = np.diff(holes, axis=0)
+    holes, radials = _tendon_holes(positions[rod.rows], frames[rod.rows], rod.local_holes)
+    edges = holes[1:] - holes[:-1]
     edge_len = np.linalg.norm(edges, axis=1)
     path = float(edge_len.sum())
-    stretch = path - l_ref
+    stretch = path - rod.l_ref
     taut = stretch > 0.0
-    k_t = config.tendon_stiffness_n_per_mm
-    e_tendon = 0.5 * k_t * stretch**2 if taut else 0.0
+    e_tendon = 0.5 * rod.k_t * stretch**2 if taut else 0.0
 
     energy = e_elastic + e_gravity + e_tendon
     if not want_grad:
         return energy, None, path
 
     # point forces dE/dq at nodes (gravity) and holes (tendon)
-    node_force = np.outer(node_masses, -_GRAV_MJ * gravity)  # (n_nodes, 3)
+    node_force = rod.gravity_force.copy()  # (n_nodes, 3)
     hole_force = np.zeros_like(holes)
     if taut:
-        tension = k_t * stretch
+        tension = rod.k_t * stretch
         unit = np.zeros_like(edges)
         ok = edge_len > 1e-12
         unit[ok] = edges[ok] / edge_len[ok, None]
@@ -302,20 +352,20 @@ def _energy_and_gradient(psi_flat: np.ndarray, config: ManipulatorConfig,
 
     # backward sweep: force/torque resultants over nodes >= j, as reversed
     # running sums; the torque about node j steps by (p[j+1] - p[j]) x S[j+1]
-    disk_nodes = config.disk_node_indices
+    disk_nodes = rod.rows[1:]
     node_force[disk_nodes] += hole_force[1:]
     s_force = np.cumsum(node_force[::-1], axis=0)[::-1]
     node_torque = np.zeros_like(node_force)
     node_torque[disk_nodes] = cross(radials, hole_force[1:])
-    node_torque[:-1] += cross(np.diff(positions, axis=0), s_force[1:])
+    node_torque[:-1] += cross(positions[1:] - positions[:-1], s_force[1:])
     s_torque = np.cumsum(node_torque[::-1], axis=0)[::-1]
 
     # chain rule per element k: the translation integral through
-    # d(J_l T)/d(psi_k), the rotation through J_r(psi_k)^T = J_l(psi_k)
+    # d(J_l t)/d(psi_k), the rotation through J_r(psi_k)^T = J_l(psi_k)
     force_k = np.einsum("kji,kj->ki", frames[:-1], s_force[1:])
     torque_k = np.einsum("kji,kj->ki", frames[1:], s_torque[1:])
-    grad = (psi * stiff) / length
-    grad += length * d_left_jacobian_apply_t(psi, _TANGENT, force_k, coeffs)
+    grad = (psi * rod.stiff) / length
+    grad += length * d_left_jacobian_tangent_t(psi, force_k, coeffs)
     grad += left_jacobian_apply(psi, torque_k, coeffs)
     return energy, grad.reshape(-1), path
 
@@ -332,10 +382,8 @@ def total_energy(dof, config: ManipulatorConfig, actuation: ActuationState) -> f
     if dof.size != 3 * n_el:
         raise DimensionMismatch(f"dof must have {3 * n_el} entries, got {dof.size}")
     psi = dof.reshape(n_el, 3) * config.element_length_mm
-    theta = np.deg2rad(actuation.disk_angles_deg)
-    l_ref = slack_path_length(config, actuation) - actuation.tendon_mm
-    energy, _, _ = _energy_and_gradient(psi.reshape(-1), config, theta, l_ref,
-                                        config.node_masses_g(), want_grad=False)
+    energy, _, _ = _energy_and_gradient(psi.reshape(-1), _actuated_rod(config, actuation),
+                                        want_grad=False)
     return energy
 
 
@@ -353,22 +401,79 @@ def _make_shape(positions, frames, config: ManipulatorConfig) -> Shape:
                  dense_curve=arc_length_parameterize(positions))
 
 
+def _bfgs(evaluate, x: np.ndarray, h_start: np.ndarray) -> tuple[int, np.ndarray]:
+    """BFGS on ``evaluate(x) -> (energy, gradient)`` from ``x`` and the inverse
+    Hessian ``h_start``, which is left unmodified.
+
+    Each iteration steps along ``-H g`` with a Wolfe line search (MINPACK's,
+    then the More-Thuente ``scipy.optimize.line_search`` when that finds no
+    step) and updates ``H`` by the rank-two BFGS formula in O(n^2), which
+    keeps a symmetric ``H`` exactly symmetric.  Stops at a gradient infinity
+    norm of 0.3 * GRAD_TOL_MJ_PER_RAD, after MAX_ITERATIONS or when no line
+    search finds a step.  Returns the iteration count and the last ``H``.
+    """
+    def energy(p):
+        return evaluate(p)[0]
+
+    def gradient(p):
+        return evaluate(p)[1]
+
+    h_inv = h_start.copy()
+    gtol = 0.3 * GRAD_TOL_MJ_PER_RAD
+    f, g = evaluate(x)
+    f_before = f + np.linalg.norm(g) / 2  # the first step guess moves about 1 rad
+    iterations = 0
+    while np.abs(g).max() > gtol and iterations < MAX_ITERATIONS:
+        direction = -(h_inv @ g)
+        alpha, _, _, f, f_before, g_new = line_search_wolfe1(
+            energy, gradient, x, direction, g, f, f_before, amin=1e-100, amax=1e100)
+        if alpha is None:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LineSearchWarning)
+                alpha, _, _, f, f_before, g_new = line_search(
+                    energy, gradient, x, direction, g, f, f_before, amax=1e100)
+            if alpha is None:
+                break
+        s = alpha * direction
+        x = x + s
+        if g_new is None:
+            g_new = gradient(x)
+        y = g_new - g
+        g = g_new
+        iterations += 1
+        if np.abs(g).max() <= gtol or not s.any():  # a zero step cannot move again
+            break
+        # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T, expanded to rank two;
+        # rho = 1000 for y.s = 0 is scipy's guard
+        ys = y @ s
+        rho = 1000.0 if ys == 0.0 else 1.0 / ys
+        hy = h_inv @ y
+        ss = np.outer(s, s)
+        ss *= rho * rho * (y @ hy) + rho
+        h_inv += ss
+        shy = np.outer(s, hy)
+        shy = shy + shy.T
+        shy *= rho
+        h_inv -= shy
+    return iterations, h_inv
+
+
 def solve_equilibrium(config: ManipulatorConfig, actuation: ActuationState,
                       warm_start: np.ndarray | None = None,
                       warm_hess_inv: np.ndarray | None = None) -> EquilibriumReport:
-    """Minimize total energy over the rod strains: one BFGS solve on the
-    analytic gradient.  ``warm_start`` (strains) and ``warm_hess_inv`` (a
-    report's ``hess_inv``) carry a neighbouring solve's minimizer and learnt
-    curvature; the inverse Hessian otherwise starts as the inverse elastic
-    diagonal, ``L / [EI, EI, GJ]`` per element.
+    """Minimize total energy over the rod strains: one BFGS solve (``_bfgs``)
+    on the analytic gradient.  ``warm_start`` (strains) and ``warm_hess_inv``
+    (a report's ``hess_inv``, left unmodified) carry a neighbouring solve's
+    minimizer and learnt curvature; the inverse Hessian otherwise starts as
+    the inverse elastic diagonal, ``L / [EI, EI, GJ]`` per element.
 
     Converged means the gradient infinity norm (mJ/rad, w.r.t. per-element
     rotation vectors) is at or below GRAD_TOL_MJ_PER_RAD.  Slow convergence
     is reported via converged=False, never raised.
     """
     _check_actuation(config, actuation)
-    n_el = config.n_elements
-    length = config.element_length_mm
+    rod = _actuated_rod(config, actuation)
+    n_el, length = rod.n_el, rod.length
     if warm_start is None:
         x = np.zeros(3 * n_el)
     else:
@@ -377,47 +482,47 @@ def solve_equilibrium(config: ManipulatorConfig, actuation: ActuationState,
             raise DimensionMismatch(f"warm_start must have {3 * n_el} entries")
         x = warm.reshape(-1) * length
     if warm_hess_inv is None:
-        stiff = np.array([config.bending_stiffness, config.bending_stiffness,
-                          config.torsion_stiffness])
-        warm_hess_inv = np.diag(np.tile(length / stiff, n_el))
+        h_start = np.diag(np.tile(length / rod.stiff, n_el))
+    else:
+        h_start = np.asarray(warm_hess_inv, dtype=float)
+        if h_start.shape != (3 * n_el, 3 * n_el):
+            raise DimensionMismatch(f"warm_hess_inv must be {3 * n_el} x {3 * n_el}")
 
-    theta = np.deg2rad(actuation.disk_angles_deg)
-    l_ref = slack_path_length(config, actuation) - actuation.tendon_mm
-    masses = config.node_masses_g()
-
-    # The result is the evaluated point with the smallest gradient, not res.x: the
-    # energy (~1e2-1e3 mJ) is only good to ~1e-12 mJ, so near a minimizer the line
-    # search can reject an already stationary trial point and stop ("precision loss").
+    # The result is the evaluated point with the smallest gradient, not the last
+    # iterate: the energy (~1e2-1e3 mJ) is only good to ~1e-12 mJ, so near a
+    # minimizer the line search can reject an already stationary trial point.
     evaluations = 0
     best = None  # (gradient inf norm, point, energy, tendon path)
+    last = None  # (point, energy, gradient): the line searches ask for f and g apart
 
-    def objective(p):
-        nonlocal evaluations, best
-        evaluations += 1
-        e, g, path = _energy_and_gradient(p, config, theta, l_ref, masses)
-        if not np.isfinite(e):
-            raise NonFiniteEnergy(f"energy {e} after {evaluations} evaluations")
-        g_norm = float(np.abs(g).max())
-        if best is None or g_norm < best[0]:
-            best = (g_norm, p.copy(), e, path)
-        return e, g
+    def evaluate(p):
+        nonlocal evaluations, best, last
+        if last is None or not np.array_equal(p, last[0]):
+            evaluations += 1
+            e, g, path = _energy_and_gradient(p, rod)
+            if not np.isfinite(e):
+                raise NonFiniteEnergy(f"energy {e} after {evaluations} evaluations")
+            point = p.copy()
+            g_norm = float(np.abs(g).max())
+            if best is None or g_norm < best[0]:
+                best = (g_norm, point, e, path)
+            last = (point, e, g)
+        return last[1], last[2]
 
-    res = minimize(objective, x, jac=True, method="BFGS",
-                   options=dict(maxiter=MAX_ITERATIONS, gtol=0.3 * GRAD_TOL_MJ_PER_RAD,
-                                norm=np.inf, hess_inv0=warm_hess_inv))
+    iterations, hess_inv = _bfgs(evaluate, x, h_start)
     gradient_inf_norm, x, energy, path = best
-    positions, frames, _ = _propagate(x.reshape(n_el, 3), config)
+    positions, frames, _ = _propagate(x.reshape(n_el, 3), length)
     shape = _make_shape(positions, frames, config)
     return EquilibriumReport(
         shape=shape,
         energy_mj=float(energy),
         gradient_inf_norm=gradient_inf_norm,
-        iterations=int(res.nit),
+        iterations=iterations,
         evaluations=evaluations,
         converged=gradient_inf_norm <= GRAD_TOL_MJ_PER_RAD,
         tendon_path_length_mm=float(path),
         dof=(x.reshape(n_el, 3) / length),
-        hess_inv=0.5 * (res.hess_inv + res.hess_inv.T),
+        hess_inv=hess_inv,
     )
 
 

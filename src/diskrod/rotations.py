@@ -16,6 +16,7 @@ SMALL_ANGLE = 1e-4
 # d2, d3's closed forms cancel to ~1e-14/w^4 relative; their three-term series
 # is off by ~3e-5 w^6, so both hold ~1e-10 at this switch
 DERIVATIVE_SMALL_ANGLE = 0.1
+_EYE = np.eye(3)
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -36,38 +37,41 @@ def coefficients(psi: np.ndarray):
     With w = |psi|: c1 = sin w/w, c2 = (1-cos w)/w^2, c3 = (w-sin w)/w^3,
     d2 = c2'(w)/w and d3 = c3'(w)/w; rows with w < SMALL_ANGLE take the
     series for c1, c2, c3, and rows with w < DERIVATIVE_SMALL_ANGLE take them
-    for d2, d3.  The series stay finite at w = 0.
+    for d2, d3.  The series stay finite at w = 0, and are evaluated only when
+    some row needs them.
     """
     w2 = np.einsum("ij,ij->i", psi, psi)
     omega = np.sqrt(w2)
     small = omega < SMALL_ANGLE
-    switch = (small, small, small) + (omega < DERIVATIVE_SMALL_ANGLE,) * 2
-    w = np.where(small, 1.0, omega)  # keeps the closed forms finite on series rows
+    any_small = small.any()
+    w = np.where(small, 1.0, omega) if any_small else omega  # closed forms stay finite
     s, c = np.sin(w), np.cos(w)
-    series = (
-        1.0 - w2 / 6.0 + w2 * w2 / 120.0,
-        0.5 - w2 / 24.0 + w2 * w2 / 720.0,
-        1.0 / 6.0 - w2 / 120.0 + w2 * w2 / 5040.0,
-        -1.0 / 12.0 + w2 / 180.0 - w2 * w2 / 6720.0,
-        -1.0 / 60.0 + w2 / 1260.0 - w2 * w2 / 60480.0,
-    )
-    closed = (
-        s / w,
-        (1.0 - c) / w**2,
-        (w - s) / w**3,
-        (w * s - 2.0 * (1.0 - c)) / w**4,
-        (w * (1.0 - c) - 3.0 * (w - s)) / w**5,
-    )
-    return tuple(np.where(m, a, b) for m, a, b in zip(switch, series, closed))
+    one_c, w_s = 1.0 - c, w - s
+    c1, c2, c3 = s / w, one_c / w**2, w_s / w**3
+    d2 = (w * s - 2.0 * one_c) / w**4
+    d3 = (w * one_c - 3.0 * w_s) / w**5
+    if any_small:
+        c1 = np.where(small, 1.0 - w2 / 6.0 + w2 * w2 / 120.0, c1)
+        c2 = np.where(small, 0.5 - w2 / 24.0 + w2 * w2 / 720.0, c2)
+        c3 = np.where(small, 1.0 / 6.0 - w2 / 120.0 + w2 * w2 / 5040.0, c3)
+    near = omega < DERIVATIVE_SMALL_ANGLE
+    if near.any():
+        d2 = np.where(near, -1.0 / 12.0 + w2 / 180.0 - w2 * w2 / 6720.0, d2)
+        d3 = np.where(near, -1.0 / 60.0 + w2 / 1260.0 - w2 * w2 / 60480.0, d3)
+    return c1, c2, c3, d2, d3
 
 
 def exp_so3(psi: np.ndarray, coeffs) -> np.ndarray:
     """Rodrigues formula: ``(n, 3, 3)`` rotation matrices of the rows of psi."""
     c1, c2 = coeffs[0][:, None, None], coeffs[1][:, None, None]
-    k = cross(np.eye(3), psi[:, None, :])  # hat(psi): row i is e_i x psi
+    px, py, pz = psi[:, 0], psi[:, 1], psi[:, 2]
+    k = np.zeros((len(psi), 3, 3))  # hat(psi): row i is e_i x psi
+    k[:, 0, 1], k[:, 0, 2] = -pz, py
+    k[:, 1, 0], k[:, 1, 2] = pz, -px
+    k[:, 2, 0], k[:, 2, 1] = -py, px
     # hat(psi)^2 = psi psi^T - |psi|^2 I
-    kk = psi[:, :, None] * psi[:, None, :] - np.einsum("ij,ij->i", psi, psi)[:, None, None] * np.eye(3)
-    return np.eye(3) + c1 * k + c2 * kk
+    kk = psi[:, :, None] * psi[:, None, :] - np.einsum("ij,ij->i", psi, psi)[:, None, None] * _EYE
+    return _EYE + c1 * k + c2 * kk
 
 
 def left_jacobian_apply(psi: np.ndarray, a: np.ndarray, coeffs) -> np.ndarray:
@@ -81,17 +85,42 @@ def left_jacobian_apply(psi: np.ndarray, a: np.ndarray, coeffs) -> np.ndarray:
     return a + c2 * pa + c3 * cross(psi, pa)
 
 
-def d_left_jacobian_apply_t(psi: np.ndarray, a: np.ndarray, u: np.ndarray,
-                            coeffs) -> np.ndarray:
-    """(d(J_l(psi) a)/d(psi))^T u for a fixed vector a, row by row.
+# The rod's material tangent, t = (0, 0, -1): each element's chord is
+# J_l(psi) t, so the two maps below are J_l(psi) a and its derivative written
+# out by component for a = t, rounding exactly as the generic products do.
+# With it, psi x t = (-py, px, 0) and psi x (psi x t) = (-pz px, -pz py, px^2 + py^2).
+TANGENT = np.array([0.0, 0.0, -1.0])
 
-    Differentiating a + c2 (psi x a) + c3 psi x (psi x a) through the
+
+def left_jacobian_tangent(psi: np.ndarray, coeffs) -> np.ndarray:
+    """J_l(psi) t for the tangent t = (0, 0, -1), row by row."""
+    _, c2, c3, _, _ = coeffs
+    px, py, pz = psi[:, 0], psi[:, 1], psi[:, 2]
+    out = np.empty(psi.shape)
+    out[:, 0] = -(c2 * py) - c3 * (pz * px)
+    out[:, 1] = c2 * px - c3 * (pz * py)
+    out[:, 2] = c3 * (px * px + py * py) - 1.0
+    return out
+
+
+def d_left_jacobian_tangent_t(psi: np.ndarray, u: np.ndarray, coeffs) -> np.ndarray:
+    """(d(J_l(psi) t)/d(psi))^T u for the tangent t = (0, 0, -1), row by row.
+
+    Differentiating t + c2 (psi x t) + c3 psi x (psi x t) through the
     coefficients (via w = |psi|) and the cross products, then transposing,
-    gives c2 (a x u) + c3 ((psi x a) x u - a x (psi x u))
-    + psi (d2 (psi x a).u + d3 (psi x (psi x a)).u).
+    gives c2 (t x u) + c3 ((psi x t) x u - t x (psi x u))
+    + psi (d2 (psi x t).u + d3 (psi x (psi x t)).u), with t x v = (vy, -vx, 0)
+    and (psi x t) x u = (px uz, py uz, -py uy - px ux).
     """
-    _, c2, c3, d2, d3 = (c[:, None] for c in coeffs)
-    pa = cross(psi, a)
-    ppa = cross(psi, pa)
-    along = d2 * np.sum(pa * u, axis=1, keepdims=True) + d3 * np.sum(ppa * u, axis=1, keepdims=True)
-    return c2 * cross(a, u) + c3 * (cross(pa, u) - cross(a, cross(psi, u))) + along * psi
+    _, c2, c3, d2, d3 = coeffs
+    px, py, pz = psi[:, 0], psi[:, 1], psi[:, 2]
+    ux, uy, uz = u[:, 0], u[:, 1], u[:, 2]
+    qx = py * uz - pz * uy  # psi x u, whose z is not needed
+    qy = pz * ux - px * uz
+    along = (d2 * (px * uy - py * ux)
+             + d3 * ((px * px + py * py) * uz - ((pz * px) * ux + (pz * py) * uy)))
+    out = np.empty(psi.shape)
+    out[:, 0] = c2 * uy + c3 * (px * uz - qy) + along * px
+    out[:, 1] = c3 * (py * uz + qx) - c2 * ux + along * py
+    out[:, 2] = c3 * (-(py * uy) - px * ux) + along * pz
+    return out

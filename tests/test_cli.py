@@ -331,12 +331,14 @@ def test_match_profiles_and_samples_the_target_once(tmp_path, fast_config_path, 
 
     for module in (cli, matching):
         spy(module, "analysis_profile", profiled)
-    for module in (matching, search):
-        spy(module, "corresponding_centers", sampled)
+    for module in (cli, matching, search):
+        if hasattr(module, "corresponding_centers"):
+            spy(module, "corresponding_centers", sampled)
     assert run_cli("match", str(target_path), "--config", fast_config_path,
                    "--threshold-rel", "0.2", "--out-dir", str(tmp_path / "m")) == 0
     assert len(profiled) == 1
-    assert len(sampled) == 1  # the overlays sample it in cli, outside the match
+    assert len(sampled) == 1  # overlays included: they draw the match's own centers
+    assert len(list((tmp_path / "m").glob("overlay_*.svg"))) == 3
 
 
 def test_canonical_json_formatting():

@@ -1,4 +1,5 @@
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from diskrod.model import (ActuationState, ManipulatorConfig, WarmStartCache,
                            forward, slack_path_length, solve_equilibrium,
                            tendon_hole_positions, tendon_path_length,
                            total_energy)
-from diskrod.model import _energy_and_gradient
+from diskrod.model import _energy_and_gradient, _rod
 from diskrod.rotations import SMALL_ANGLE
 from conftest import actuation
 
@@ -151,8 +152,8 @@ def test_energy_uniform_bend_closed_form(config):
     # subtract gravity of the reconstructed bent shape and slack-tendon term
     psi = dof * config.element_length_mm
     energy, _, path = _energy_and_gradient(
-        psi.reshape(-1), config, np.zeros(9),
-        slack_path_length(config, act), config.node_masses_g(), want_grad=False)
+        psi.reshape(-1), _rod(config, np.zeros(9), slack_path_length(config, act)),
+        want_grad=False)
     assert e == pytest.approx(energy)
     dof_straight = np.zeros_like(dof)
     gravity_bent = e - elastic - 0.5 * config.tendon_stiffness_n_per_mm * max(
@@ -174,18 +175,17 @@ def test_energy_dimension_mismatch(config):
 def test_gradient_matches_finite_differences(config):
     rng = np.random.default_rng(12)
     act = actuation(80.0, d4=50.0, d7=-30.0)
-    theta = np.deg2rad(act.disk_angles_deg)
-    l_ref = slack_path_length(config, act) - act.tendon_mm
-    masses = config.node_masses_g()
+    rod = _rod(config, np.deg2rad(act.disk_angles_deg),
+               slack_path_length(config, act) - act.tendon_mm)
     psi = rng.normal(0.0, 0.04, 3 * config.n_elements)
-    _, grad, _ = _energy_and_gradient(psi, config, theta, l_ref, masses)
+    _, grad, _ = _energy_and_gradient(psi, rod)
     h = 1e-6
     for i in rng.choice(len(psi), size=12, replace=False):
         up, dn = psi.copy(), psi.copy()
         up[i] += h
         dn[i] -= h
-        eu, _, _ = _energy_and_gradient(up, config, theta, l_ref, masses, want_grad=False)
-        ed, _, _ = _energy_and_gradient(dn, config, theta, l_ref, masses, want_grad=False)
+        eu, _, _ = _energy_and_gradient(up, rod, want_grad=False)
+        ed, _, _ = _energy_and_gradient(dn, rod, want_grad=False)
         assert grad[i] == pytest.approx((eu - ed) / (2 * h), rel=1e-5, abs=1e-8)
 
 
@@ -282,9 +282,8 @@ def test_energy_consistency_of_report(config, solve_cached):
     report = solve_cached(100.0, act.disk_angles_deg)
     assert report.energy_mj == pytest.approx(
         total_energy(report.dof, config, act), abs=1e-9)
-    theta = np.deg2rad(act.disk_angles_deg)
-    l_ref = slack_path_length(config, act) - act.tendon_mm
-    masses = config.node_masses_g()
+    rod = _rod(config, np.deg2rad(act.disk_angles_deg),
+               slack_path_length(config, act) - act.tendon_mm)
     psi = report.dof.reshape(-1) * config.element_length_mm
     h = 1e-6
     fd = np.zeros_like(psi)
@@ -292,8 +291,8 @@ def test_energy_consistency_of_report(config, solve_cached):
         up, dn = psi.copy(), psi.copy()
         up[i] += h
         dn[i] -= h
-        eu, _, _ = _energy_and_gradient(up, config, theta, l_ref, masses, want_grad=False)
-        ed, _, _ = _energy_and_gradient(dn, config, theta, l_ref, masses, want_grad=False)
+        eu, _, _ = _energy_and_gradient(up, rod, want_grad=False)
+        ed, _, _ = _energy_and_gradient(dn, rod, want_grad=False)
         fd[i] = (eu - ed) / (2 * h)
     fd_norm = np.abs(fd).max()
     assert abs(report.gradient_inf_norm - fd_norm) <= 0.1 * max(fd_norm, 1e-4)
@@ -453,11 +452,21 @@ _STEP4_CHAIN = [actuation(_STEP4_TENDON_MM, d5=76.0), actuation(_STEP4_TENDON_MM
 @pytest.mark.parametrize("chain", [_STEP2_CHAIN, _STEP4_CHAIN], ids=["step2", "step4"])
 def test_warm_chain_converges_below_the_energy_noise_floor(config, chain):
     cache = WarmStartCache()
-    for act in chain:
-        forward(config, act, cache)  # raises SolverNotConverged on a stall
-        warm = cache.lookup(act)
-        assert warm.gradient_inf_norm <= model.GRAD_TOL_MJ_PER_RAD
-        assert abs(warm.energy_mj - solve_equilibrium(config, act).energy_mj) <= 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no LineSearchWarning escapes a solve
+        for act in chain:
+            _, start = cache.last_start()
+            kept = None if start is None else start.copy()
+            forward(config, act, cache)  # raises SolverNotConverged on a stall
+            warm = cache.lookup(act)
+            assert warm.gradient_inf_norm <= model.GRAD_TOL_MJ_PER_RAD
+            assert abs(warm.energy_mj - solve_equilibrium(config, act).energy_mj) <= 1e-9
+            # the solve left the matrix it started from as it was, and carries
+            # on an exactly symmetric, positive definite one
+            assert kept is None or np.array_equal(start, kept)
+            _, carried = cache.last_start()
+            assert np.array_equal(carried, carried.T)
+            np.linalg.cholesky(carried)
 
 
 def test_cache_carries_a_symmetric_positive_definite_hess_inv(config):
@@ -473,24 +482,27 @@ def test_cache_carries_a_symmetric_positive_definite_hess_inv(config):
     assert all(cache.lookup(act).hess_inv is None for act in chain)
 
 
-def test_cold_solve_starts_from_the_elastic_diagonal_and_warm_from_the_cache(
-        config, monkeypatch):
-    starts = []
-
-    def spy(*args, **kwargs):
-        starts.append(kwargs["options"]["hess_inv0"])
-        return scipy_minimize(*args, **kwargs)
-
-    monkeypatch.setattr(model, "minimize", spy)
-    cache = WarmStartCache()
-    forward(config, actuation(100.0, d5=-70.0), cache)
-    _, carried = cache.last_start()
-    forward(config, actuation(100.0, d5=-72.0), cache)
+def test_cold_solve_starts_from_the_elastic_diagonal_and_warm_from_the_cache(config):
+    act = actuation(100.0, d5=-70.0)
     stiff = np.array([config.bending_stiffness, config.bending_stiffness,
                       config.torsion_stiffness])
     elastic = np.diag(np.tile(config.element_length_mm / stiff, config.n_elements))
-    assert np.array_equal(starts[0], elastic)
-    assert np.array_equal(starts[1], carried)
+    cold = solve_equilibrium(config, act)
+    explicit = solve_equilibrium(config, act, warm_hess_inv=elastic)
+    assert np.array_equal(cold.dof, explicit.dof)
+    assert np.array_equal(cold.hess_inv, explicit.hess_inv)
+    assert cold.evaluations == explicit.evaluations
+
+    cache = WarmStartCache()
+    forward(config, act, cache)
+    dof, hess_inv = cache.last_start()
+    nxt = actuation(100.0, d5=-72.0)
+    forward(config, nxt, cache)
+    warm = cache.lookup(nxt)
+    direct = solve_equilibrium(config, nxt, warm_start=dof, warm_hess_inv=hess_inv)
+    assert np.array_equal(warm.dof, direct.dof)
+    assert warm.evaluations == direct.evaluations
+    assert np.array_equal(cache.last_start()[1], direct.hess_inv)
 
 
 def test_report_counts_every_kernel_call(config, monkeypatch):
@@ -510,15 +522,15 @@ def test_report_counts_every_kernel_call(config, monkeypatch):
 
 # ----------------------------------------------- gradient property tests
 
-def _central_difference_gradient(psi, args):
+def _central_difference_gradient(psi, rod):
     h = 1e-6
     fd = np.empty_like(psi)
     for i in range(len(psi)):
         up, dn = psi.copy(), psi.copy()
         up[i] += h
         dn[i] -= h
-        eu = _energy_and_gradient(up, *args, want_grad=False)[0]
-        ed = _energy_and_gradient(dn, *args, want_grad=False)[0]
+        eu = _energy_and_gradient(up, rod, want_grad=False)[0]
+        ed = _energy_and_gradient(dn, rod, want_grad=False)[0]
         fd[i] = (eu - ed) / (2 * h)
     return fd
 
@@ -531,11 +543,10 @@ def _check_gradient_off_the_kink(psi, angles, taut, margin):
     # the rest length sits ``margin`` mm short of (taut) or past (slack) the
     # tendon path at psi, so no difference step crosses the kink
     theta = np.deg2rad(angles)
-    masses = _FINE.node_masses_g()
-    path = _energy_and_gradient(psi, _FINE, theta, 0.0, masses, want_grad=False)[2]
-    args = (_FINE, theta, path - margin if taut else path + margin, masses)
-    _, grad, _ = _energy_and_gradient(psi, *args)
-    fd = _central_difference_gradient(psi, args)
+    path = _energy_and_gradient(psi, _rod(_FINE, theta, 0.0), want_grad=False)[2]
+    rod = _rod(_FINE, theta, path - margin if taut else path + margin)
+    _, grad, _ = _energy_and_gradient(psi, rod)
+    fd = _central_difference_gradient(psi, rod)
     np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6 * max(1.0, np.abs(fd).max()))
 
 

@@ -1,8 +1,8 @@
 """Property tests of the batched rotation-vector maps.
 
-Every drawn batch holds one row below ``SMALL_ANGLE`` (series coefficients)
-and one above it (closed forms, except d2/d3 below ``DERIVATIVE_SMALL_ANGLE``),
-plus random rows of either kind.
+Every drawn batch holds one row below ``SMALL_ANGLE`` (series coefficients),
+one between it and ``DERIVATIVE_SMALL_ANGLE`` (closed forms, except the d2/d3
+series) and one above both (closed forms only), plus random rows of any kind.
 """
 
 import math
@@ -12,21 +12,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from diskrod.rotations import (DERIVATIVE_SMALL_ANGLE, SMALL_ANGLE, coefficients, cross,
-                               d_left_jacobian_apply_t, exp_so3,
-                               left_jacobian_apply)
+from diskrod.rotations import (DERIVATIVE_SMALL_ANGLE, SMALL_ANGLE, TANGENT, coefficients,
+                               cross, d_left_jacobian_tangent_t, exp_so3,
+                               left_jacobian_apply, left_jacobian_tangent)
 
 unit = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array).filter(
     lambda v: np.linalg.norm(v) > 1e-3).map(lambda v: v / np.linalg.norm(v))
 small_row = st.builds(lambda u, w: u * w, unit, st.floats(0.0, 0.999 * SMALL_ANGLE))
 large_row = st.builds(lambda u, w: u * w, unit, st.floats(SMALL_ANGLE, 3.0))
+between_row = st.builds(lambda u, w: u * w, unit,
+                        st.floats(SMALL_ANGLE, 0.999 * DERIVATIVE_SMALL_ANGLE))
+far_row = st.builds(lambda u, w: u * w, unit, st.floats(DERIVATIVE_SMALL_ANGLE, 3.0))
 vector = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array)
 
 
 @st.composite
 def batches(draw):
-    """(psi, a, u) with psi rows on both sides of SMALL_ANGLE."""
-    rows = [draw(small_row), draw(large_row)]
+    """(psi, a, u) with psi rows on both sides of both series switches."""
+    rows = [draw(small_row), draw(between_row), draw(far_row)]
     rows += draw(st.lists(st.one_of(small_row, large_row), max_size=4))
     n = len(rows)
     a = np.array([draw(vector) for _ in range(n)])
@@ -91,15 +94,46 @@ def test_left_jacobian_is_the_mean_rotation(batch):
     np.testing.assert_allclose(apply(psi, a), mean, rtol=0, atol=2e-12)
 
 
+def d_left_jacobian_apply_t(psi, a, u, coeffs):
+    """(d(J_l(psi) a)/d(psi))^T u for any a: the generic products that the
+    tangent map writes out by component, kept here as its reference."""
+    _, c2, c3, d2, d3 = (c[:, None] for c in coeffs)
+    pa = cross(psi, a)
+    ppa = cross(psi, pa)
+    along = d2 * np.sum(pa * u, axis=1, keepdims=True) + d3 * np.sum(ppa * u, axis=1, keepdims=True)
+    return c2 * cross(a, u) + c3 * (cross(pa, u) - cross(a, cross(psi, u))) + along * psi
+
+
+@settings(deadline=None)
+@given(batches())
+def test_tangent_maps_equal_the_generic_maps_bit_for_bit(batch):
+    psi, _, u = batch
+    coeffs = coefficients(psi)
+    np.testing.assert_array_equal(left_jacobian_tangent(psi, coeffs),
+                                  left_jacobian_apply(psi, TANGENT, coeffs))
+    np.testing.assert_array_equal(d_left_jacobian_tangent_t(psi, u, coeffs),
+                                  d_left_jacobian_apply_t(psi, TANGENT, u, coeffs))
+
+
 @settings(deadline=None)
 @given(batches(), vector)
 def test_left_jacobian_derivative_matches_central_difference(batch, v):
-    psi, a, u = batch
+    psi, _, u = batch
     h = 1e-5
-    slope = (apply(psi + h * v, a) - apply(psi - h * v, a)) / (2.0 * h)
+    slope = (apply(psi + h * v, TANGENT) - apply(psi - h * v, TANGENT)) / (2.0 * h)
     expected = np.einsum("ki,ki->k", u, slope)
-    got = d_left_jacobian_apply_t(psi, a, u, coefficients(psi)) @ v
+    got = d_left_jacobian_tangent_t(psi, u, coefficients(psi)) @ v
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-6)
+
+
+@settings(deadline=None)
+@given(batches())
+def test_batch_coefficients_are_the_rows_coefficients(batch):
+    # a batch takes a series only where a row needs it, whatever its other rows
+    psi, _, _ = batch
+    rows = [coefficients(row[None, :]) for row in psi]
+    for k, got in enumerate(coefficients(psi)):
+        np.testing.assert_array_equal(got, np.concatenate([r[k] for r in rows]))
 
 
 def taylor(w, start, shift):
