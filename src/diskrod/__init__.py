@@ -7,7 +7,7 @@ from .clustering import ClusterResult, RawPointSet, centers_to_curve, dbscan
 from .curves import (CrossingDirection, CTProfile, Curve3D, SignChange,
                      SmoothingParams, arc_length_parameterize, ct_profile,
                      smooth_profile, torsion_sign_changes)
-from .matching import (Direction, DiskHypothesis, MatchParams, MatchResult,
+from .matching import (Direction, DiskHypothesis, MatchResult,
                        analysis_profile, match_shape, step1_identify,
                        step2_tendon, step3_angles, step4_tip)
 from .model import (ActuationState, EquilibriumReport, ManipulatorConfig,
@@ -20,7 +20,7 @@ from .search import (GoldenSearchSpec, SearchTrace, corresponding_centers,
 __all__ = [
     "ActuationState", "ClusterResult", "CrossingDirection", "CTProfile",
     "Curve3D", "Direction", "DiskHypothesis", "EquilibriumReport",
-    "GoldenSearchSpec", "ManipulatorConfig", "MatchParams", "MatchResult",
+    "GoldenSearchSpec", "ManipulatorConfig", "MatchResult",
     "RawPointSet", "SearchTrace", "Shape", "SignChange", "SmoothingParams",
     "WarmStartCache", "analysis_profile", "arc_length_parameterize",
     "centers_to_curve", "corresponding_centers", "ct_profile", "dbscan",

@@ -16,14 +16,13 @@ import numpy as np
 
 from . import __version__
 from .clustering import centers_to_curve, dbscan
-from .curves import torsion_sign_changes
-from .errors import (ClusterCountMismatch, DiskrodError, InvalidParams,
-                     SolverNotConverged)
+from .curves import THRESHOLD_REL, torsion_sign_changes
+from .errors import ClusterCountMismatch, DiskrodError, SolverNotConverged
 from .fileio import (actuation_to_dict, config_hash, config_to_dict,
                      dumps_canonical, read_config_json, read_curve_csv,
                      read_raw_points_csv, write_curve_csv, write_json,
                      write_profile_csv)
-from .matching import MatchParams, analysis_profile, match_shape
+from .matching import analysis_profile, match_shape
 from .model import ActuationState, ManipulatorConfig, solve_equilibrium
 from .svgplot import Panel, Series, render_panels
 
@@ -57,7 +56,7 @@ class RunManifest:
 
 
 def _load_config(args) -> ManipulatorConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return read_config_json(args.config)
     return ManipulatorConfig()
 
@@ -137,21 +136,16 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _absolute_threshold(threshold_rel: float, profile) -> float:
-    """Sign-change threshold as ``threshold_rel`` of the largest valid |tau|."""
-    tau_abs = np.abs(profile.tau[profile.kappa_valid])
-    return threshold_rel * float(tau_abs.max()) if tau_abs.size else 0.0
+def _threshold_rel(args) -> float:
+    return THRESHOLD_REL if args.threshold_rel is None else args.threshold_rel
 
 
 def cmd_analyze(args) -> int:
     config = _load_config(args)
     curve = read_curve_csv(args.curve)
-    params = MatchParams()
-    profile = analysis_profile(curve, config, params, n_samples=args.samples)
-    threshold = None
-    if args.threshold_rel is not None:
-        threshold = _absolute_threshold(args.threshold_rel, profile)
-    changes = torsion_sign_changes(profile, config.disk_arc_positions_mm, threshold)
+    profile = analysis_profile(curve, config, n_samples=args.samples)
+    changes = torsion_sign_changes(profile, config.disk_arc_positions_mm,
+                                   _threshold_rel(args))
     out = _out_dir(args)
     manifest = RunManifest(
         command="analyze",
@@ -187,8 +181,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    if not 0.0 < args.eps < np.inf or args.min_pts < 1:  # also rejects NaN
-        raise InvalidParams(f"eps={args.eps}, min_pts={args.min_pts}")
     raw = read_raw_points_csv(args.points)
     result = dbscan(raw, eps=args.eps, min_pts=args.min_pts)
     if args.expect is not None:
@@ -240,12 +232,7 @@ def _overlay_panels(target_curve, t_disks, shape, title: str) -> list[Panel]:
 def cmd_match(args) -> int:
     config = _load_config(args)
     target = read_curve_csv(args.target)
-    params = MatchParams()
-    profile = analysis_profile(target, config, params)
-    if args.threshold_rel is not None:
-        params = MatchParams(sign_change_threshold=_absolute_threshold(args.threshold_rel, profile))
-
-    result = match_shape(target, config, params, profile)
+    result = match_shape(target, config, _threshold_rel(args))
     out = _out_dir(args)
     manifest = RunManifest(
         command="match",
@@ -289,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("curve", help="curve CSV (x_mm,y_mm,z_mm)")
     p.add_argument("--config", help="manipulator config JSON")
     p.add_argument("--threshold-rel", type=_parse_threshold_rel, default=None,
-                   help="sign-change threshold as a fraction of max |tau|")
+                   help="sign-change threshold as a fraction of max |tau| "
+                        f"(default: {THRESHOLD_REL})")
     p.add_argument("--samples", type=int, default=None,
                    help="arc-uniform profile samples (default: one per disk; "
                         "0: the curve's own samples)")
@@ -311,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="target curve CSV")
     p.add_argument("--config", help="manipulator config JSON")
     p.add_argument("--threshold-rel", type=_parse_threshold_rel, default=None,
-                   help="sign-change threshold as a fraction of max |tau|")
+                   help="sign-change threshold as a fraction of max |tau| "
+                        f"(default: {THRESHOLD_REL})")
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_match)
     return parser

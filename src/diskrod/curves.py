@@ -19,6 +19,7 @@ MIN_POINTS = 4          # third derivatives need at least 4 samples
 MIN_CHORD_MM = 1e-6     # consecutive points closer than this are degenerate
 ARC_CONSISTENCY_MM = 1e-9
 EPS_CROSS = 1e-12       # |r' x r''|^2 below this: torsion undefined, tau := 0
+THRESHOLD_REL = 0.2     # sign-change threshold as a fraction of max |tau|
 
 
 class CrossingDirection(enum.Enum):
@@ -277,14 +278,15 @@ def _crossings_in_run(s, tau, idx):
     return crossings
 
 
-def torsion_sign_changes(profile: CTProfile, disk_s, threshold: float | None = None) -> list[SignChange]:
+def torsion_sign_changes(profile: CTProfile, disk_s,
+                         threshold_rel: float = THRESHOLD_REL) -> list[SignChange]:
     """Threshold-passing torsion zero crossings mapped to nearest disks.
 
     A crossing qualifies when the |tau| peaks on both flanks (up to the
-    neighboring crossing or the end of the valid run) exceed ``threshold``.
-    Crossings nearest disk 1 or 2 are suppressed: the clamped end produces
-    derivative artifacts that far out.  Default threshold is 20% of the
-    profile's max |tau|.
+    neighboring crossing or the end of the valid run) exceed
+    ``threshold_rel`` times the profile's largest valid |tau|.  Crossings
+    nearest disk 1 or 2 are suppressed: the clamped end produces derivative
+    artifacts that far out.
     """
     disk_s = np.asarray(disk_s, dtype=float)
     if len(disk_s) < 2 or np.any(np.diff(disk_s) <= 0):
@@ -292,8 +294,7 @@ def torsion_sign_changes(profile: CTProfile, disk_s, threshold: float | None = N
     tau_abs = np.abs(profile.tau[profile.kappa_valid])
     if tau_abs.size == 0:
         return []
-    if threshold is None:
-        threshold = 0.2 * float(tau_abs.max())
+    threshold = threshold_rel * float(tau_abs.max())
     if threshold <= 0.0:
         threshold = np.finfo(float).tiny
 

@@ -31,7 +31,8 @@ class ClusterCountMismatch(DiskrodError):
 
 
 class DimensionMismatch(DiskrodError):
-    """Degree-of-freedom vector has the wrong length."""
+    """Degree-of-freedom vector, disk-angle count or ``warm_hess_inv`` has the
+    wrong size for the configuration."""
 
 
 class NonFiniteEnergy(DiskrodError):
@@ -47,7 +48,7 @@ class InvalidBracket(DiskrodError):
 
 
 class IndexRangeInvalid(DiskrodError):
-    """Shape RMSE index range outside [0, 9] or inverted."""
+    """Shape RMSE index range outside [0, n_disks] or inverted."""
 
 
 class EmptyOverlap(DiskrodError):

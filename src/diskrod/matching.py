@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import (CrossingDirection, CTProfile, Curve3D, SignChange,
-                     SmoothingParams, arc_length_parameterize, ct_profile,
-                     smooth_curvature, smooth_profile, torsion_sign_changes)
+from .curves import (THRESHOLD_REL, CrossingDirection, CTProfile, Curve3D,
+                     SignChange, SmoothingParams, arc_length_parameterize,
+                     ct_profile, smooth_curvature, smooth_profile,
+                     torsion_sign_changes)
 from .errors import SolverNotConverged, TooFewValidSamples
 from .model import (TENDON_MAX_MM, ActuationState, ManipulatorConfig, Shape,
                     WarmStartCache, forward)
@@ -39,6 +40,14 @@ DIRECTION_FOR_CROSSING = {
 }
 ANGLE_SIGN = {Direction.CLOCKWISE: 1.0, Direction.COUNTERCLOCKWISE: -1.0}
 
+# near-interpolating splines: the analysis profiles have one honest sample per
+# disk, and GCV flattens their sign-change lobes
+SMOOTHING = SmoothingParams(lam=1e-6)
+TENDON_TOL_MM = 1.0
+ANGLE_STEP_DEG = 1.0    # step 3/4 search tolerance and angle grid
+TIP_BRACKET_DEG = 20.0  # step 4 searches the penultimate disk in +/- this
+MAX_EVALS = 60          # per golden-section search
+
 
 @dataclass(frozen=True)
 class DiskHypothesis:
@@ -46,18 +55,6 @@ class DiskHypothesis:
     direction: Direction
     source_sign_change: SignChange
     deferred: bool
-
-
-@dataclass(frozen=True)
-class MatchParams:
-    # near-interpolating splines: the analysis profiles have one honest
-    # sample per disk, and GCV flattens their sign-change lobes
-    smoothing: SmoothingParams = SmoothingParams(lam=1e-6)
-    sign_change_threshold: float | None = None  # None: 20% of max |tau|
-    tendon_tol_mm: float = 1.0
-    angle_quantize_deg: float = 1.0
-    tip_bracket_deg: float = 20.0
-    max_evals: int = 60
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +118,6 @@ class MatchResult:
 
 
 def analysis_profile(curve: Curve3D, config: ManipulatorConfig,
-                     params: MatchParams = MatchParams(),
                      n_samples: int | None = None) -> CTProfile:
     """Smoothed curvature/torsion profile at disk-center sample density.
 
@@ -140,9 +136,9 @@ def analysis_profile(curve: Curve3D, config: ManipulatorConfig,
         pts = curve.at(np.linspace(0.0, curve.length, count))
     raw = ct_profile(arc_length_parameterize(pts))
     try:
-        return smooth_profile(raw, params.smoothing)
+        return smooth_profile(raw, SMOOTHING)
     except TooFewValidSamples:
-        return smooth_curvature(raw, params.smoothing)
+        return smooth_curvature(raw, SMOOTHING)
 
 
 def _probe(spec: GoldenSearchSpec, seed: float, state_at, score, label,
@@ -164,25 +160,16 @@ def _probe(spec: GoldenSearchSpec, seed: float, state_at, score, label,
     return golden_section(objective, spec, seed_points=[seed])
 
 
-def step1_identify(target: Curve3D, config: ManipulatorConfig,
-                   params: MatchParams = MatchParams(),
-                   target_profile: CTProfile | None = None) -> list[DiskHypothesis]:
-    """Disk-rotation hypotheses from torsion sign changes of the target.
+def step1_identify(target_profile: CTProfile, config: ManipulatorConfig,
+                   threshold_rel: float) -> list[DiskHypothesis]:
+    """Disk-rotation hypotheses from torsion sign changes of the target's profile.
 
     Crossings near the two most distal disks are deferred: the tip region is
     handled by the end-effector fine-tuning step.  An empty list is a valid
     outcome (planar target).
     """
-    if target.n < 10:
-        raise ValueError(f"target needs >= 10 samples, got {target.n}")
-    span = target.length / config.backbone_length_mm
-    if not 0.9 <= span <= 1.05:
-        raise ValueError(
-            f"target arc length {target.length:.1f} mm does not span the "
-            f"{config.backbone_length_mm:.0f} mm backbone")
-    profile = target_profile or analysis_profile(target, config, params)
-    crossings = torsion_sign_changes(profile, config.disk_arc_positions_mm,
-                                     params.sign_change_threshold)
+    crossings = torsion_sign_changes(target_profile, config.disk_arc_positions_mm,
+                                     threshold_rel)
     deferral_cutoff = config.n_disks - 2
     return [
         DiskHypothesis(
@@ -203,33 +190,28 @@ def _full_deflection_angles(hyps: list[DiskHypothesis], config) -> list[float]:
     return angles
 
 
-def step2_tendon(target: Curve3D, hyps: list[DiskHypothesis],
-                 config: ManipulatorConfig, params: MatchParams = MatchParams(),
-                 cache: WarmStartCache | None = None,
-                 target_profile: CTProfile | None = None) -> SearchTrace:
+def step2_tendon(target_profile: CTProfile, hyps: list[DiskHypothesis],
+                 config: ManipulatorConfig, cache: WarmStartCache) -> SearchTrace:
     """Tendon displacement minimizing the curvature-profile RMSE.
 
     The identified disks sit at full deflection in their hypothesized
     directions while the displacement is searched; the curvature profile is
     nearly independent of the eventual rotation magnitudes.
     """
-    cache = cache if cache is not None else WarmStartCache()
-    target_profile = target_profile or analysis_profile(target, config, params)
     angles = tuple(_full_deflection_angles(hyps, config))
-    spec = GoldenSearchSpec(lo=0.0, hi=TENDON_MAX_MM, tol=params.tendon_tol_mm,
-                            max_evals=params.max_evals)
+    spec = GoldenSearchSpec(lo=0.0, hi=TENDON_MAX_MM, tol=TENDON_TOL_MM,
+                            max_evals=MAX_EVALS)
     return _probe(
         spec, 0.0,
         lambda delta: ActuationState(tendon_mm=delta, disk_angles_deg=angles),
         lambda shape: rmse_curvature(
-            target_profile, analysis_profile(shape.dense_curve, config, params)),
+            target_profile, analysis_profile(shape.dense_curve, config)),
         lambda delta: f"step2 (tendon {delta:.2f} mm)",
         config, cache)
 
 
-def step3_angles(target: Curve3D | np.ndarray, hyps: list[DiskHypothesis], tendon_mm: float,
-                 config: ManipulatorConfig, params: MatchParams = MatchParams(),
-                 cache: WarmStartCache | None = None
+def step3_angles(target_centers: np.ndarray, hyps: list[DiskHypothesis], tendon_mm: float,
+                 config: ManipulatorConfig, cache: WarmStartCache
                  ) -> tuple[list[SearchTrace], list[float]]:
     """Per-disk rotation magnitudes, proximal to distal, against shape RMSE.
 
@@ -238,8 +220,6 @@ def step3_angles(target: Curve3D | np.ndarray, hyps: list[DiskHypothesis], tendo
     whole disk chain.  Later hypotheses hold full deflection until their
     turn.  Returns one trace per searched disk and the solved disk angles.
     """
-    cache = cache if cache is not None else WarmStartCache()
-    target_centers = corresponding_centers(target, config.n_disks)
     angles = _full_deflection_angles(hyps, config)
     active = sorted((h for h in hyps if not h.deferred),
                     key=lambda h: h.source_sign_change.s_pos)
@@ -250,13 +230,12 @@ def step3_angles(target: Curve3D | np.ndarray, hyps: list[DiskHypothesis], tendo
         index_range = (1, hi_disk)
         sign = ANGLE_SIGN[hyp.direction]
         entry = ActuationState(tendon_mm=tendon_mm, disk_angles_deg=tuple(angles))
-        spec = GoldenSearchSpec(lo=0.0, hi=90.0, tol=params.angle_quantize_deg,
-                                quantize=params.angle_quantize_deg,
-                                max_evals=params.max_evals)
+        spec = GoldenSearchSpec(lo=0.0, hi=90.0, tol=ANGLE_STEP_DEG,
+                                quantize=ANGLE_STEP_DEG, max_evals=MAX_EVALS)
         trace = _probe(
             spec, abs(angles[hyp.disk_index - 1]),
             lambda magnitude: entry.with_angle(hyp.disk_index, sign * magnitude),
-            lambda shape: rmse_shape(target_centers, shape, index_range, config.n_disks),
+            lambda shape: rmse_shape(target_centers, shape.disk_centers, index_range),
             lambda magnitude: f"step3 (disk {hyp.disk_index} at {magnitude:.1f} deg)",
             config, cache)
         angles[hyp.disk_index - 1] = sign * trace.best_x
@@ -264,43 +243,47 @@ def step3_angles(target: Curve3D | np.ndarray, hyps: list[DiskHypothesis], tendo
     return traces, angles
 
 
-def step4_tip(target: Curve3D | np.ndarray, state: ActuationState, config: ManipulatorConfig,
-              params: MatchParams = MatchParams(),
-              cache: WarmStartCache | None = None) -> SearchTrace:
+def step4_tip(target_centers: np.ndarray, state: ActuationState, config: ManipulatorConfig,
+              cache: WarmStartCache) -> SearchTrace:
     """Penultimate-disk angle minimizing shape RMSE over the tip region."""
-    cache = cache if cache is not None else WarmStartCache()
-    target_centers = corresponding_centers(target, config.n_disks)
     tip_disk = config.n_disks - 1
     index_range = (config.n_disks - 2, config.n_disks)
-    b = params.tip_bracket_deg
-    spec = GoldenSearchSpec(lo=-b, hi=b, tol=params.angle_quantize_deg,
-                            quantize=params.angle_quantize_deg,
-                            max_evals=params.max_evals)
+    spec = GoldenSearchSpec(lo=-TIP_BRACKET_DEG, hi=TIP_BRACKET_DEG, tol=ANGLE_STEP_DEG,
+                            quantize=ANGLE_STEP_DEG, max_evals=MAX_EVALS)
     return _probe(
         spec, state.disk_angles_deg[tip_disk - 1],
         lambda angle: state.with_angle(tip_disk, angle),
-        lambda shape: rmse_shape(target_centers, shape, index_range, config.n_disks),
+        lambda shape: rmse_shape(target_centers, shape.disk_centers, index_range),
         lambda angle: f"step4 (disk {tip_disk} at {angle:.1f} deg)",
         config, cache)
 
 
 def match_shape(target: Curve3D, config: ManipulatorConfig,
-                params: MatchParams = MatchParams(),
-                target_profile: CTProfile | None = None) -> MatchResult:
-    """Run the four matching steps and assemble the recovered actuation; the target's
-    ``analysis_profile`` (``target_profile`` if given) and centers are taken once."""
+                threshold_rel: float = THRESHOLD_REL) -> MatchResult:
+    """Run the four matching steps and assemble the recovered actuation.
+
+    The target's ``analysis_profile`` (read by steps 1 and 2) and its
+    corresponding centers (read by steps 3 and 4) are taken once, here.
+    """
+    if target.n < 10:
+        raise ValueError(f"target needs >= 10 samples, got {target.n}")
+    span = target.length / config.backbone_length_mm
+    if not 0.9 <= span <= 1.05:
+        raise ValueError(
+            f"target arc length {target.length:.1f} mm does not span the "
+            f"{config.backbone_length_mm:.0f} mm backbone")
     cache = WarmStartCache()
-    target_profile = target_profile or analysis_profile(target, config, params)
+    target_profile = analysis_profile(target, config)
     target_centers = corresponding_centers(target, config.n_disks)
-    hyps = step1_identify(target, config, params, target_profile)
-    trace2 = step2_tendon(target, hyps, config, params, cache, target_profile)
+    hyps = step1_identify(target_profile, config, threshold_rel)
+    trace2 = step2_tendon(target_profile, hyps, config, cache)
     state2 = ActuationState(tendon_mm=float(trace2.best_x),
                             disk_angles_deg=tuple(_full_deflection_angles(hyps, config)))
 
-    traces3, angles = step3_angles(target_centers, hyps, state2.tendon_mm, config, params, cache)
+    traces3, angles = step3_angles(target_centers, hyps, state2.tendon_mm, config, cache)
     state3 = replace(state2, disk_angles_deg=tuple(angles))
 
-    trace4 = step4_tip(target_centers, state3, config, params, cache)
+    trace4 = step4_tip(target_centers, state3, config, cache)
     state4 = state3.with_angle(config.n_disks - 1, float(trace4.best_x))
 
     # each step's search evaluated its end state, so these are cache hits
@@ -314,8 +297,8 @@ def match_shape(target: Curve3D, config: ManipulatorConfig,
         step4_trace=trace4,
         stages=stages,
         target_centers=target_centers,
-        shape_rmse_cm=rmse_shape(target_centers, attained, (0, config.n_disks), config.n_disks),
+        shape_rmse_cm=rmse_shape(target_centers, attained.disk_centers),
         curvature_rmse_per_cm=rmse_curvature(
-            target_profile, analysis_profile(attained.dense_curve, config, params)),
-        tip_error_mm=tip_error(target_centers, attained, config.n_disks),
+            target_profile, analysis_profile(attained.dense_curve, config)),
+        tip_error_mm=tip_error(target_centers, attained.disk_centers),
     )

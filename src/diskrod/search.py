@@ -9,7 +9,6 @@ import numpy as np
 
 from .curves import Curve3D, CTProfile
 from .errors import EmptyOverlap, IndexRangeInvalid, InvalidBracket
-from .model import Shape
 
 GOLDEN_RATIO = (np.sqrt(5.0) - 1.0) / 2.0  # ~0.618
 
@@ -124,34 +123,33 @@ def golden_section(f: Callable[[float], float], spec: GoldenSearchSpec,
     return trace
 
 
-def corresponding_centers(obj, n_disks: int = 9) -> np.ndarray:
-    """Ten corresponding centers (base plate + disks) from a Shape or curve.
-
-    Curves are linearly interpolated at the disk arc fractions; an array of
-    the right shape passes through unchanged.
-    """
-    if isinstance(obj, Shape):
-        return obj.disk_centers
-    if isinstance(obj, Curve3D):
-        fractions = np.concatenate(([0.0], np.linspace(0.0, 1.0, n_disks)))
-        return obj.at(fractions * obj.length)
-    arr = np.asarray(obj, dtype=float)
-    if arr.shape != (n_disks + 1, 3):
-        raise ValueError(f"expected ({n_disks + 1}, 3) centers, got {arr.shape}")
-    return arr
+def corresponding_centers(curve: Curve3D, n_disks: int) -> np.ndarray:
+    """The ``n_disks + 1`` corresponding centers (base plate + disks) of a
+    curve, linearly interpolated at the disk arc fractions."""
+    fractions = np.concatenate(([0.0], np.linspace(0.0, 1.0, n_disks)))
+    return curve.at(fractions * curve.length)
 
 
-def rmse_shape(a, b, index_range: tuple[int, int] = (0, 9), n_disks: int = 9) -> float:
+def _paired_centers(a, b) -> tuple[np.ndarray, np.ndarray, int]:
+    """Two center arrays of one ``(n_disks + 1, 3)`` shape, and ``n_disks``."""
+    ca = np.asarray(a, dtype=float)
+    cb = np.asarray(b, dtype=float)
+    if ca.shape != cb.shape or ca.ndim != 2 or ca.shape[0] < 2 or ca.shape[1] != 3:
+        raise ValueError(f"expected two equal (n_disks + 1, 3) center arrays, "
+                         f"got {ca.shape} and {cb.shape}")
+    return ca, cb, len(ca) - 1
+
+
+def rmse_shape(a, b, index_range: tuple[int, int] | None = None) -> float:
     """RMSE (cm) between corresponding centers over an inclusive index range.
 
-    Index 0 is the base plate, 1..n_disks the disks; both inputs must live in
-    the same clamped base frame.
+    Index 0 is the base plate, 1..n_disks the disks (all of them by
+    default); both arrays must live in the same clamped base frame.
     """
-    i_lo, i_hi = index_range
+    ca, cb, n_disks = _paired_centers(a, b)
+    i_lo, i_hi = (0, n_disks) if index_range is None else index_range
     if not (0 <= i_lo <= i_hi <= n_disks):
         raise IndexRangeInvalid(f"range [{i_lo}, {i_hi}] outside [0, {n_disks}]")
-    ca = corresponding_centers(a, n_disks)
-    cb = corresponding_centers(b, n_disks)
     d2 = np.sum((ca[i_lo:i_hi + 1] - cb[i_lo:i_hi + 1]) ** 2, axis=1)
     return float(np.sqrt(d2.mean())) / 10.0
 
@@ -168,8 +166,7 @@ def rmse_curvature(a: CTProfile, b: CTProfile, grid_points: int = 200) -> float:
     return float(np.sqrt(np.mean((ka - kb) ** 2))) * 10.0
 
 
-def tip_error(a, b, n_disks: int = 9) -> float:
-    """Euclidean distance (mm) between the tip-disk centers."""
-    ca = corresponding_centers(a, n_disks)
-    cb = corresponding_centers(b, n_disks)
+def tip_error(a, b) -> float:
+    """Euclidean distance (mm) between the tip-disk centers of two center arrays."""
+    ca, cb, _ = _paired_centers(a, b)
     return float(np.linalg.norm(ca[-1] - cb[-1]))

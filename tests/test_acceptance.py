@@ -13,14 +13,11 @@ import pytest
 
 from diskrod.clustering import RawPointSet, dbscan
 from diskrod.curves import arc_length_parameterize, ct_profile, torsion_sign_changes
-from diskrod.matching import (Direction, MatchParams, analysis_profile,
-                              match_shape)
+from diskrod.matching import Direction, analysis_profile, match_shape
 from diskrod.model import ActuationState, ManipulatorConfig, solve_equilibrium
 from diskrod.search import GOLDEN_RATIO, GoldenSearchSpec, golden_section
 from conftest import actuation
 from test_clustering import as_partition, oracle_partition
-
-PARAMS = MatchParams()
 
 
 def report(number, ok, detail):
@@ -30,7 +27,7 @@ def report(number, ok, detail):
 
 def profile_of(config, tendon, angles=(0.0,) * 9):
     shape = solve_equilibrium(config, ActuationState(tendon, tuple(angles))).shape
-    return analysis_profile(shape.dense_curve, config, PARAMS)
+    return analysis_profile(shape.dense_curve, config)
 
 
 def test_criterion_1_analytic_geometry_oracle(config):
@@ -79,8 +76,7 @@ def test_criterion_3_single_disk_signatures(config):
             angles = [0.0] * 9
             angles[disk - 1] = sign * 90.0
             prof = profile_of(config, 100.0, angles)
-            crossings = torsion_sign_changes(prof, config.disk_arc_positions_mm,
-                                             PARAMS.sign_change_threshold)
+            crossings = torsion_sign_changes(prof, config.disk_arc_positions_mm)
             in_window = [c for c in crossings if abs(c.nearest_disk - disk) <= 1]
             if len(in_window) == 1:
                 directions[sign] = in_window[0].direction
@@ -98,8 +94,7 @@ def test_criterion_3_single_disk_signatures(config):
 
 def test_criterion_4_two_disk_signature(config):
     prof = profile_of(config, 100.0, actuation(100.0, d3=90.0, d6=-90.0).disk_angles_deg)
-    crossings = torsion_sign_changes(prof, config.disk_arc_positions_mm,
-                                     PARAMS.sign_change_threshold)
+    crossings = torsion_sign_changes(prof, config.disk_arc_positions_mm)
     ok = (len(crossings) == 2
           and crossings[0].direction is not crossings[1].direction)
     report(4, ok, f"found {[(c.nearest_disk, c.direction.value) for c in crossings]}")

@@ -341,6 +341,31 @@ def test_match_profiles_and_samples_the_target_once(tmp_path, fast_config_path, 
     assert len(list((tmp_path / "m").glob("overlay_*.svg"))) == 3
 
 
+@pytest.mark.parametrize("command, files", [
+    ("match", ["match_result.json", "overlay_step2.svg", "overlay_step3.svg",
+               "overlay_step4.svg"]),
+    ("analyze", ["profile.csv", "sign_changes.json", "profile.svg"]),
+])
+def test_threshold_rel_default_is_0_2(tmp_path, fast_config_path, fast_match, command, files):
+    target_path, shared = fast_match
+
+    def run(name, *flag):
+        out = tmp_path / name
+        assert run_cli(command, str(target_path), "--config", fast_config_path, *flag,
+                       "--out-dir", str(out)) == 0
+        return out
+
+    default = shared if command == "match" else run("default")
+    explicit = run("explicit", "--threshold-rel", "0.2")
+    for fname in files:
+        assert (default / fname).read_bytes() == (explicit / fname).read_bytes()
+    manifests = [json.loads((out / f"{command}_manifest.json").read_text())
+                 for out in (default, explicit)]
+    assert [m.pop("overrides") for m in manifests] == [{"threshold_rel": None},
+                                                       {"threshold_rel": 0.2}]
+    assert manifests[0] == manifests[1]
+
+
 def test_canonical_json_formatting():
     text = dumps_canonical({"a": 0.1234567891234, "b": [1.0, 2.5e-7], "c": True})
     assert "0.123456789" in text

@@ -341,10 +341,27 @@ def test_sign_change_count_on_alternating_bump_pairs(n_pairs):
         sign = 1.0 if k % 2 == 0 else -1.0
         tau += sign * amp * (bump(s, centers[2 * k], 20.0) - bump(s, centers[2 * k + 1], 20.0))
     prof = flat_profile(tau, s)
-    below = torsion_sign_changes(prof, DISKS_70, threshold=0.1 * amp)
-    above = torsion_sign_changes(prof, DISKS_70, threshold=1.5 * amp)
+    below = torsion_sign_changes(prof, DISKS_70, threshold_rel=0.1)
+    above = torsion_sign_changes(prof, DISKS_70, threshold_rel=1.5)
     assert len(below) == n_pairs
     assert len(above) == 0
+    # the threshold is relative to the profile's own max |tau|
+    scaled = flat_profile(10.0 * tau, s)
+    scaled_below = torsion_sign_changes(scaled, DISKS_70, threshold_rel=0.1)
+    assert [(c.nearest_disk, c.direction) for c in scaled_below] == [
+        (c.nearest_disk, c.direction) for c in below]
+    assert [c.s_pos for c in scaled_below] == pytest.approx([c.s_pos for c in below], rel=1e-12)
+    assert torsion_sign_changes(scaled, DISKS_70, threshold_rel=1.5) == []
+
+
+def test_sign_change_default_threshold_is_a_fifth_of_max_tau():
+    s = np.linspace(0.0, 560.0, 400)
+    for weak, kept in ((0.25, True), (0.15, False)):
+        tau = 0.01 * (bump(s, 210.0) - weak * bump(s, 350.0))
+        prof = flat_profile(tau, s)
+        changes = torsion_sign_changes(prof, DISKS_70)
+        assert changes == torsion_sign_changes(prof, DISKS_70, threshold_rel=0.2)
+        assert len(changes) == int(kept)
 
 
 def test_sign_change_base_suppression():

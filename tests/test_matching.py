@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
-from diskrod.curves import CrossingDirection
+from diskrod.curves import THRESHOLD_REL, CrossingDirection, arc_length_parameterize
 from diskrod.matching import (ANGLE_SIGN, DIRECTION_FOR_CROSSING, Direction,
-                              MatchParams, analysis_profile, match_shape,
-                              step1_identify, step2_tendon, step3_angles,
-                              step4_tip)
+                              analysis_profile, match_shape, step1_identify,
+                              step2_tendon, step3_angles)
 from diskrod.model import ActuationState, WarmStartCache, forward
-from diskrod.search import rmse_curvature, rmse_shape, tip_error
+from diskrod.search import corresponding_centers, rmse_curvature, rmse_shape, tip_error
 from conftest import actuation
+
+
+def identify(target, config):
+    """Step 1 on a target curve, as ``match_shape`` runs it."""
+    return step1_identify(analysis_profile(target, config), config, THRESHOLD_REL)
 
 
 def test_direction_calibration_constant():
@@ -22,11 +26,11 @@ def test_direction_calibration_constant():
 
 def test_step1_planar_target_no_hypotheses(config, solve_cached):
     target = solve_cached(100.0).shape.dense_curve
-    assert step1_identify(target, config) == []
+    assert identify(target, config) == []
 
 
 def test_step1_single_disk(va_target, config):
-    hyps = step1_identify(va_target, config)
+    hyps = identify(va_target, config)
     active = [h for h in hyps if not h.deferred]
     assert len(active) == 1
     assert abs(active[0].disk_index - 5) <= 1
@@ -34,7 +38,7 @@ def test_step1_single_disk(va_target, config):
 
 
 def test_step1_two_disks(vb_target, config):
-    hyps = [h for h in step1_identify(vb_target, config) if not h.deferred]
+    hyps = [h for h in identify(vb_target, config) if not h.deferred]
     assert len(hyps) == 2
     assert abs(hyps[0].disk_index - 4) <= 1
     assert abs(hyps[1].disk_index - 6) <= 1
@@ -42,23 +46,26 @@ def test_step1_two_disks(vb_target, config):
     assert hyps[1].direction is Direction.COUNTERCLOCKWISE
 
 
-def test_step1_requires_full_span(config, va_target):
-    from diskrod.curves import arc_length_parameterize
+def test_match_requires_full_span(config, va_target):
     short = arc_length_parameterize(va_target.points[:5])
-    with pytest.raises(ValueError):
-        step1_identify(short, config)
+    with pytest.raises(ValueError, match="needs >= 10 samples"):
+        match_shape(short, config)
+    straight = arc_length_parameterize([(0.0, 0.0, -10.0 * k) for k in range(21)])
+    with pytest.raises(ValueError, match="does not span"):
+        match_shape(straight, config)
 
 
 def test_step1_deferred_distal_crossing(config, solve_cached):
     # a +90 rotation of disk 5 rings once more near disk 7; that crossing is
     # deferred, never searched in step 3
     target = solve_cached(100.0, actuation(100.0, d5=90.0).disk_angles_deg).shape.dense_curve
-    hyps = step1_identify(target, config)
+    hyps = identify(target, config)
     deferred = [h for h in hyps if h.deferred]
     active = [h for h in hyps if not h.deferred]
     assert len(active) == 1 and active[0].disk_index == 5
     assert all(h.disk_index >= 7 for h in deferred)
-    traces, angles = step3_angles(target, hyps, 100.0, config, cache=WarmStartCache())
+    traces, angles = step3_angles(corresponding_centers(target, config.n_disks), hyps, 100.0,
+                                  config, WarmStartCache())
     assert len(traces) == len(active)
     assert abs(angles[4]) == traces[0].best_x
     assert [a for i, a in enumerate(angles) if i != 4] == [0.0] * 8
@@ -68,7 +75,7 @@ def test_step1_deferred_distal_crossing(config, solve_cached):
 
 def test_step2_straight_target_zero_tendon(config, solve_cached):
     target = solve_cached(0.0).shape.dense_curve
-    trace = step2_tendon(target, [], config, cache=WarmStartCache())
+    trace = step2_tendon(analysis_profile(target, config), [], config, WarmStartCache())
     assert trace.converged
     assert abs(trace.best_x - 0.0) <= 1.0
 
@@ -129,7 +136,9 @@ def test_step4_does_not_worsen_tip_range(vb_target, vb_match, config):
     assert trace.best_f <= trace.evaluations[0][1] + 1e-12
     # and the realized [7,9] RMSE equals the trace's best
     attained = vb_match.attained_shape
-    assert rmse_shape(vb_target, attained, (7, 9)) == pytest.approx(trace.best_f, abs=1e-9)
+    target_centers = corresponding_centers(vb_target, config.n_disks)
+    assert rmse_shape(target_centers, attained.disk_centers, (7, 9)) == pytest.approx(
+        trace.best_f, abs=1e-9)
 
 
 def test_match_actuation_bounds(va_match, vb_match):
@@ -157,7 +166,8 @@ def test_match_stages_are_step_end_states(vb_target, vb_match, config):
     profile2 = analysis_profile(step2.shape.dense_curve, config)
     assert rmse_curvature(analysis_profile(vb_target, config), profile2) == pytest.approx(
         vb_match.step2_trace.best_f, abs=1e-12)
-    assert rmse_shape(vb_target, step3.shape, (1, 9)) == pytest.approx(
+    target_centers = corresponding_centers(vb_target, config.n_disks)
+    assert rmse_shape(target_centers, step3.shape.disk_centers, (1, 9)) == pytest.approx(
         vb_match.step3_traces[-1].best_f, abs=1e-12)
 
 
@@ -176,7 +186,8 @@ def test_step4_recovers_injected_tip_rotation(config, solve_cached):
     # tip error strictly better than before step 4
     state3 = ActuationState(result.tendon_mm, result.disk_angles_deg).with_angle(8, 0.0)
     shape3 = forward(config, state3)
-    assert result.tip_error_mm < tip_error(target, shape3)
+    assert result.tip_error_mm < tip_error(corresponding_centers(target, config.n_disks),
+                                           shape3.disk_centers)
 
 
 def test_hypothesis_grid_recovery(config, solve_cached):
@@ -187,7 +198,7 @@ def test_hypothesis_grid_recovery(config, solve_cached):
                 angles = [0.0] * 9
                 angles[disk - 1] = -magnitude  # counterclockwise ground truth
                 target = solve_cached(tendon, tuple(angles)).shape.dense_curve
-                active = [h for h in step1_identify(target, config) if not h.deferred]
+                active = [h for h in identify(target, config) if not h.deferred]
                 total += 1
                 assert len(active) >= 1
                 best = min(active, key=lambda h: abs(h.disk_index - disk))

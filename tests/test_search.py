@@ -174,6 +174,14 @@ def test_rmse_shape_invalid_range():
         rmse_shape(centers(), centers(), index_range=(3, 12))
     with pytest.raises(IndexRangeInvalid):
         rmse_shape(centers(), centers(), index_range=(5, 3))
+    # a 6-disk arm: n_disks comes from the arrays, and the default covers all 7 rows
+    a, b = centers()[:7], centers()[:7]
+    b[6] += np.array([0.0, 0.0, 7.0])
+    assert rmse_shape(a, b) == pytest.approx(np.sqrt(49.0 / 7.0) / 10.0)
+    with pytest.raises(IndexRangeInvalid):
+        rmse_shape(a, b, index_range=(0, 9))
+    with pytest.raises(ValueError):
+        rmse_shape(centers(), a)
 
 
 def test_rmse_shape_is_metric():
@@ -212,3 +220,6 @@ def test_tip_error_examples():
     assert tip_error(centers(), centers()) == 0.0
     assert tip_error(centers(), centers(offset=(0.0, 0.0, 8.0))) == pytest.approx(8.0)
     assert tip_error(centers(), centers(offset=(6.0, 0.0, 8.0))) == pytest.approx(10.0)
+    assert tip_error(centers()[:7], centers(offset=(6.0, 0.0, 8.0))[:7]) == pytest.approx(10.0)
+    with pytest.raises(ValueError):
+        tip_error(centers(), centers()[:7])
