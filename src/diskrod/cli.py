@@ -82,13 +82,6 @@ def _parse_base_hint(text: str) -> list[float]:
     return hint
 
 
-def _parse_threshold_rel(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < np.inf:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-    return value
-
-
 def _parse_expect(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -275,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="curvature/torsion profile of a curve CSV")
     p.add_argument("curve", help="curve CSV (x_mm,y_mm,z_mm)")
     p.add_argument("--config", help="manipulator config JSON")
-    p.add_argument("--threshold-rel", type=_parse_threshold_rel, default=None,
+    p.add_argument("--threshold-rel", type=float, default=None,
                    help="sign-change threshold as a fraction of max |tau| "
                         f"(default: {THRESHOLD_REL})")
     p.add_argument("--samples", type=int, default=None,
@@ -298,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="recover actuation matching a target curve")
     p.add_argument("target", help="target curve CSV")
     p.add_argument("--config", help="manipulator config JSON")
-    p.add_argument("--threshold-rel", type=_parse_threshold_rel, default=None,
+    p.add_argument("--threshold-rel", type=float, default=None,
                    help="sign-change threshold as a fraction of max |tau| "
                         f"(default: {THRESHOLD_REL})")
     p.add_argument("--out-dir", default="out")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .curves import Curve3D, arc_length_parameterize
+from .curves import Curve3D
 from .errors import ClusterCountMismatch, InvalidParams
 
 
@@ -107,4 +107,4 @@ def centers_to_curve(result: ClusterResult, expected_count: int, base_hint) -> C
         pick = remaining.pop(int(np.argmin(dists)))
         order.append(pick)
         current = centroids[pick]
-    return arc_length_parameterize(centroids[order])
+    return Curve3D(centroids[order])

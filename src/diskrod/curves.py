@@ -8,7 +8,7 @@ uniform arc grid -> torsion zero crossings mapped to disk positions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import make_smoothing_spline
@@ -17,9 +17,18 @@ from .errors import DegenerateSegment, TooFewPoints, TooFewValidSamples
 
 MIN_POINTS = 4          # third derivatives need at least 4 samples
 MIN_CHORD_MM = 1e-6     # consecutive points closer than this are degenerate
-ARC_CONSISTENCY_MM = 1e-9
 EPS_CROSS = 1e-12       # |r' x r''|^2 below this: torsion undefined, tau := 0
 THRESHOLD_REL = 0.2     # sign-change threshold as a fraction of max |tau|
+# Near-interpolating smoothing splines: an analysis profile has one honest
+# sample per disk, and a heavier penalty flattens its sign-change lobes.  The
+# penalty is defined on the arc coordinate rescaled to [0, 1].
+SPLINE_LAM = 1e-6
+GRID_POINTS = 200       # uniform arc grid of a smoothed profile
+# Torsion estimates are ill-conditioned where curvature is small (their
+# variance grows like 1/kappa^2): before the torsion fit, samples whose
+# curvature is below this fraction of the profile's 90th-percentile curvature
+# are clamped, sign preserved, to the largest |tau| on the other samples.
+TAU_RELIABILITY_FLOOR = 0.1
 
 
 class CrossingDirection(enum.Enum):
@@ -32,28 +41,21 @@ class Curve3D:
     """Ordered 3D samples of a backbone with cumulative-chord arc length."""
 
     points: np.ndarray  # (n, 3), mm
-    s: np.ndarray       # (n,), mm, s[0] = 0
+    s: np.ndarray = field(init=False)  # (n,), mm, s[0] = 0
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        s = np.asarray(self.s, dtype=float)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "s", s)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError("points must be an (n, 3) array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
         if len(pts) < MIN_POINTS:
             raise TooFewPoints(f"need >= {MIN_POINTS} points, got {len(pts)}")
-        if s.shape != (len(pts),):
-            raise ValueError("s must have one value per point")
-        if s[0] != 0.0:
-            raise ValueError("arc length must start at 0")
         chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         if np.any(chords <= MIN_CHORD_MM):
             raise DegenerateSegment("consecutive points coincide")
-        if not np.all(np.abs(np.diff(s) - chords) <= ARC_CONSISTENCY_MM):  # also NaN
-            raise ValueError("s increments must equal chord lengths")
+        object.__setattr__(self, "s", np.concatenate(([0.0], np.cumsum(chords))))
 
     @property
     def n(self) -> int:
@@ -114,30 +116,6 @@ class SignChange:
     nearest_disk: int              # 1-based disk index
     direction: CrossingDirection
     magnitude: float               # min flanking |tau| peak, 1/mm
-
-
-@dataclass(frozen=True)
-class SmoothingParams:
-    """Smoothing-spline settings; lam=None selects lambda by GCV.
-
-    Torsion estimates are ill-conditioned where curvature is small (their
-    variance grows like 1/kappa^2), so before fitting the torsion channel,
-    samples whose curvature falls below ``tau_reliability_floor`` times the
-    profile's 90th-percentile curvature are clamped, sign preserved, to the
-    largest |tau| seen on reliable samples.  Set the floor to None to fit
-    raw values.
-    """
-
-    lam: float | None = None  # penalty on the arc coordinate rescaled to [0, 1]
-    grid_points: int = 200
-    tau_reliability_floor: float | None = 0.1
-
-
-def arc_length_parameterize(points) -> Curve3D:
-    """Build a Curve3D from ordered samples using cumulative chord length."""
-    pts = np.asarray(points, dtype=float)
-    chords = np.linalg.norm(np.diff(pts, axis=0), axis=-1)
-    return Curve3D(points=pts, s=np.concatenate(([0.0], np.cumsum(chords))))
 
 
 def fd_weights(x: np.ndarray, z: float | np.ndarray, max_order: int) -> np.ndarray:
@@ -203,58 +181,45 @@ def ct_profile(curve: Curve3D) -> CTProfile:
     return CTProfile(s=s.copy(), kappa=kappa, tau=tau, kappa_valid=valid)
 
 
-def smooth_profile(profile: CTProfile, smoothing: SmoothingParams = SmoothingParams()) -> CTProfile:
+def smooth_profile(profile: CTProfile) -> CTProfile:
     """Replace kappa/tau by smoothing-spline fits on a uniform arc grid.
 
     The curvature channel is fit on all samples; the torsion channel only on
-    samples where it is defined (after the reliability clamp described on
-    SmoothingParams), and grid points outside the defined range keep the
-    tau=0 sentinel.
+    samples where it is defined (after the TAU_RELIABILITY_FLOOR clamp), and
+    grid points outside the defined range keep the tau=0 sentinel.  A profile
+    with fewer than 4 defined torsion samples (a curve too straight to define
+    torsion, such as an unactuated hanging backbone) gets a curvature-only
+    result: tau 0 and no valid grid point.
     """
     if profile.n < 4:
         raise TooFewValidSamples("curvature channel needs >= 4 samples")
-    n_valid = int(np.count_nonzero(profile.kappa_valid))
-    if n_valid < 4:
-        raise TooFewValidSamples(f"torsion channel has {n_valid} valid samples, needs >= 4")
-    curvature = smooth_curvature(profile, smoothing)
-    grid = curvature.s
+    grid = np.linspace(profile.s[0], profile.s[-1], GRID_POINTS)
+    kappa = np.clip(_spline_fit(profile.s, profile.kappa, grid, profile.s), 0.0, None)
+    tau_g = np.zeros_like(grid)
+    if np.count_nonzero(profile.kappa_valid) < 4:
+        return CTProfile(s=grid, kappa=kappa, tau=tau_g,
+                         kappa_valid=np.zeros(len(grid), dtype=bool))
 
     sv = profile.s[profile.kappa_valid]
     tv = profile.tau[profile.kappa_valid].copy()
-    if smoothing.tau_reliability_floor is not None:
-        kv = profile.kappa[profile.kappa_valid]
-        reliable = kv >= smoothing.tau_reliability_floor * np.quantile(kv, 0.9)
-        if reliable.any() and not reliable.all():
-            ceiling = float(np.abs(tv[reliable]).max())
-            tv = np.clip(tv, -ceiling, ceiling)
+    kv = profile.kappa[profile.kappa_valid]
+    reliable = kv >= TAU_RELIABILITY_FLOOR * np.quantile(kv, 0.9)
+    if reliable.any() and not reliable.all():
+        ceiling = float(np.abs(tv[reliable]).max())
+        tv = np.clip(tv, -ceiling, ceiling)
     in_range = (grid >= sv[0]) & (grid <= sv[-1])
-    tau_g = np.zeros_like(grid)
-    tau_g[in_range] = _spline_fit(sv, tv, grid[in_range], profile.s, smoothing.lam)
-    return CTProfile(s=grid, kappa=curvature.kappa, tau=tau_g, kappa_valid=in_range)
+    tau_g[in_range] = _spline_fit(sv, tv, grid[in_range], profile.s)
+    return CTProfile(s=grid, kappa=kappa, tau=tau_g, kappa_valid=in_range)
 
 
-def smooth_curvature(profile: CTProfile,
-                     smoothing: SmoothingParams = SmoothingParams()) -> CTProfile:
-    """Curvature-only smoothed profile on a uniform arc grid.
-
-    The curvature channel of ``smooth_profile``; tau keeps the 0 sentinel and
-    no grid point is valid.
-    """
-    grid = np.linspace(profile.s[0], profile.s[-1], smoothing.grid_points)
-    kappa = np.clip(_spline_fit(profile.s, profile.kappa, grid, profile.s, smoothing.lam),
-                    0.0, None)
-    return CTProfile(s=grid, kappa=kappa, tau=np.zeros_like(grid),
-                     kappa_valid=np.zeros(len(grid), dtype=bool))
-
-
-def _spline_fit(s, values, at, arc, lam: float | None) -> np.ndarray:
+def _spline_fit(s, values, at, arc) -> np.ndarray:
     """Smoothing spline through ``(s, values)``, evaluated at ``at``.
 
-    GCV's lambda selection is sensitive to the abscissa scale, so the fit
-    runs on the arc coordinate with ``arc``'s range rescaled to [0, 1].
+    SPLINE_LAM is defined on a unit arc span, so the fit runs on the arc
+    coordinate with ``arc``'s range rescaled to [0, 1].
     """
     s0, span = arc[0], arc[-1] - arc[0]
-    fit = make_smoothing_spline((s - s0) / span, values, lam=lam)
+    fit = make_smoothing_spline((s - s0) / span, values, lam=SPLINE_LAM)
     return fit((at - s0) / span)
 
 
@@ -286,8 +251,10 @@ def torsion_sign_changes(profile: CTProfile, disk_s,
     neighboring crossing or the end of the valid run) exceed
     ``threshold_rel`` times the profile's largest valid |tau|.  Crossings
     nearest disk 1 or 2 are suppressed: the clamped end produces derivative
-    artifacts that far out.
+    artifacts that far out.  ``threshold_rel`` must be finite and >= 0.
     """
+    if not 0.0 <= threshold_rel < np.inf:  # also rejects NaN
+        raise ValueError(f"threshold_rel must be finite and >= 0, got {threshold_rel!r}")
     disk_s = np.asarray(disk_s, dtype=float)
     if len(disk_s) < 2 or np.any(np.diff(disk_s) <= 0):
         raise ValueError("disk_s must be strictly increasing with >= 2 entries")

@@ -14,7 +14,7 @@ class DegenerateSegment(DiskrodError):
 
 
 class TooFewValidSamples(DiskrodError):
-    """Not enough well-defined samples to fit a smoothing spline."""
+    """A profile has fewer than 4 samples, too few to fit a smoothing spline."""
 
 
 class InvalidParams(DiskrodError):

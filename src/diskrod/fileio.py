@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import RawPointSet
-from .curves import Curve3D, CTProfile, arc_length_parameterize
+from .curves import Curve3D, CTProfile
 from .model import ActuationState, ManipulatorConfig
 
 FLOAT_FORMAT = "%.9g"  # fixed 9 significant digits for byte-stable outputs
@@ -91,7 +91,7 @@ def _read_points(path) -> np.ndarray:
 
 def read_curve_csv(path) -> Curve3D:
     """Shape CSV, rows in order along the curve."""
-    return arc_length_parameterize(_read_points(path))
+    return Curve3D(_read_points(path))
 
 
 def write_profile_csv(path, profile: CTProfile) -> None:

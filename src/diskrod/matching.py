@@ -15,10 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import (THRESHOLD_REL, CrossingDirection, CTProfile, Curve3D,
-                     SignChange, SmoothingParams, arc_length_parameterize,
-                     ct_profile, smooth_curvature, smooth_profile,
+                     SignChange, ct_profile, smooth_profile,
                      torsion_sign_changes)
-from .errors import SolverNotConverged, TooFewValidSamples
+from .errors import SolverNotConverged
 from .model import (TENDON_MAX_MM, ActuationState, ManipulatorConfig, Shape,
                     WarmStartCache, forward)
 from .search import (GoldenSearchSpec, SearchTrace, corresponding_centers,
@@ -40,9 +39,6 @@ DIRECTION_FOR_CROSSING = {
 }
 ANGLE_SIGN = {Direction.CLOCKWISE: 1.0, Direction.COUNTERCLOCKWISE: -1.0}
 
-# near-interpolating splines: the analysis profiles have one honest sample per
-# disk, and GCV flattens their sign-change lobes
-SMOOTHING = SmoothingParams(lam=1e-6)
 TENDON_TOL_MM = 1.0
 ANGLE_STEP_DEG = 1.0    # step 3/4 search tolerance and angle grid
 TIP_BRACKET_DEG = 20.0  # step 4 searches the penultimate disk in +/- this
@@ -134,11 +130,7 @@ def analysis_profile(curve: Curve3D, config: ManipulatorConfig,
     else:
         count = config.n_disks if n_samples is None else n_samples
         pts = curve.at(np.linspace(0.0, curve.length, count))
-    raw = ct_profile(arc_length_parameterize(pts))
-    try:
-        return smooth_profile(raw, SMOOTHING)
-    except TooFewValidSamples:
-        return smooth_curvature(raw, SMOOTHING)
+    return smooth_profile(ct_profile(Curve3D(pts)))
 
 
 def _probe(spec: GoldenSearchSpec, seed: float, state_at, score, label,

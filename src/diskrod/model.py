@@ -27,7 +27,7 @@ from scipy.optimize import line_search
 # warning the fallback raises when it gives up has a public name.
 from scipy.optimize._linesearch import LineSearchWarning, line_search_wolfe1
 
-from .curves import Curve3D, arc_length_parameterize
+from .curves import Curve3D
 from .errors import DimensionMismatch, NonFiniteEnergy, SolverNotConverged
 from .rotations import (coefficients, cross, d_left_jacobian_tangent_t, exp_so3,
                         left_jacobian_apply, left_jacobian_tangent)
@@ -398,7 +398,7 @@ def _make_shape(positions, frames, config: ManipulatorConfig) -> Shape:
     if np.abs(fr @ fr.transpose(0, 2, 1) - np.eye(3)).max() > 1e-9:
         raise RuntimeError("solver produced a non-orthonormal frame")
     return Shape(disk_centers=centers, disk_frames=fr,
-                 dense_curve=arc_length_parameterize(positions))
+                 dense_curve=Curve3D(positions))
 
 
 def _bfgs(evaluate, x: np.ndarray, h_start: np.ndarray) -> tuple[int, np.ndarray]:

@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .curves import Curve3D, CTProfile
+from .curves import GRID_POINTS, Curve3D, CTProfile
 from .errors import EmptyOverlap, IndexRangeInvalid, InvalidBracket
 
 GOLDEN_RATIO = (np.sqrt(5.0) - 1.0) / 2.0  # ~0.618
@@ -154,13 +154,13 @@ def rmse_shape(a, b, index_range: tuple[int, int] | None = None) -> float:
     return float(np.sqrt(d2.mean())) / 10.0
 
 
-def rmse_curvature(a: CTProfile, b: CTProfile, grid_points: int = 200) -> float:
+def rmse_curvature(a: CTProfile, b: CTProfile) -> float:
     """RMSE (1/cm) of the curvature channels on the common arc grid."""
     lo = max(a.s[0], b.s[0])
     hi = min(a.s[-1], b.s[-1])
     if hi <= lo:
         raise EmptyOverlap(f"profiles share no arc range: [{lo}, {hi}]")
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, GRID_POINTS)
     ka = np.interp(grid, a.s, a.kappa)
     kb = np.interp(grid, b.s, b.kappa)
     return float(np.sqrt(np.mean((ka - kb) ** 2))) * 10.0

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from diskrod.clustering import RawPointSet, dbscan
-from diskrod.curves import arc_length_parameterize, ct_profile, torsion_sign_changes
+from diskrod.curves import Curve3D, ct_profile, torsion_sign_changes
 from diskrod.matching import Direction, analysis_profile, match_shape
 from diskrod.model import ActuationState, ManipulatorConfig, solve_equilibrium
 from diskrod.search import GOLDEN_RATIO, GoldenSearchSpec, golden_section
@@ -34,7 +34,7 @@ def test_criterion_1_analytic_geometry_oracle(config):
     t0 = time.perf_counter()
     a, b = 50.0, 20.0
     t = np.linspace(0.0, 4.0 * np.pi, 300)
-    helix = ct_profile(arc_length_parameterize(
+    helix = ct_profile(Curve3D(
         np.column_stack([a * np.cos(t), a * np.sin(t), b * t])))
     kappa_true = a / (a * a + b * b)
     tau_true = b / (a * a + b * b)
@@ -43,7 +43,7 @@ def test_criterion_1_analytic_geometry_oracle(config):
                 and np.all(np.abs(helix.tau[interior] - tau_true) <= 0.05 * tau_true))
 
     u = np.linspace(0.0, 1.5 * np.pi, 200)
-    circle = ct_profile(arc_length_parameterize(
+    circle = ct_profile(Curve3D(
         np.column_stack([100 * np.cos(u), 100 * np.sin(u), np.zeros_like(u)])))
     circle_ok = (np.all(np.abs(circle.kappa[interior] - 0.01) <= 0.0002)
                  and np.abs(circle.tau[circle.kappa_valid]).max() <= 1e-6)

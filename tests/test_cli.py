@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -118,6 +119,60 @@ def test_analyze_helix_constant_bands(tmp_path):
     assert np.ptp(tau[inner]) <= 0.15 * abs(tau[inner].mean())
 
 
+_T = np.linspace(0.0, 4.0 * np.pi, 300)
+_U = np.linspace(0.0, 1.0, 400)
+PINNED_CURVES = {
+    "helix": np.column_stack([50 * np.cos(_T), 50 * np.sin(_T), 20 * _T]),
+    "straight": np.column_stack([np.zeros(57), np.zeros(57), -10.0 * np.arange(57)]),
+    "twist": 560.0 * np.column_stack([0.8 * _U, 0.4 * _U**2, 0.3 * (_U**3 - 0.5 * _U**4)]),
+}
+
+
+# sha256 of profile.csv, sign_changes.json and profile.svg, recorded when the
+# profile pipeline last changed: any change to what analyze writes shows here
+NO_CHANGES = "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"
+STRAIGHT = ("80bf9eb91526c4457c9cfdd9e8d4e2996872bd2848ea90f7d22d7bae5467f4a9", NO_CHANGES,
+            "7aff305753520eb188f731b07cb058e89e4c87aa78281419b36a2e8000b38b95")
+ANALYZE_DIGESTS = {
+    ("helix", None): ("0782958096bdc2919d88da0bfe2cedc8c4cae57d08be12ff9bab97aa1e0121bb",
+                      NO_CHANGES,
+                      "4073c7b882f99a3085dfa6753757d6901c983f55e051b5dc527e59772331d1b7"),
+    ("helix", "0"): ("5c0c7cd1ce7ad87f7bd7bb98491668bec18b589f1de16aeaae1f23601789c2d8",
+                     NO_CHANGES,
+                     "dea29b7fcfe28bf97a7c3b6ef7d12129be36ab8de8eb42a1e0c6fd8a7e46c471"),
+    ("helix", "50"): ("aeeb5483e72d976b61da20397a93e09304bf3e7ef3f5ca020ba99b842044e4ae",
+                      NO_CHANGES,
+                      "71906befd2ba72db2493fc369e722b1363948d439466e75dc87781549feaccdd"),
+    ("straight", None): STRAIGHT,  # curvature-only: every sampling gives the same profile
+    ("straight", "0"): STRAIGHT,
+    ("straight", "50"): STRAIGHT,
+    ("twist", None): ("2c4b8982c5dfee560c8ecb7adc83486d530c3db07666d2ed5367917a748a14db",
+                      "a9012ace8b518f1f7c41ec01cd5990ab886ff885dab22c83613e36eeb5c59f00",
+                      "e690cda7512ea00d16bd46237618334df7a611972581857a84dc8f55c43067b7"),
+    ("twist", "0"): ("2b631b50b1b310a9f2e0289d8f55eaa36c4d0634007c1f5ee842e745e0891322",
+                     "ade42624a313b20674c4d4fa8d89d9d5524c4ead803ed6063524c80ff43017a9",
+                     "d8d3895388f1a6e5e59dd75061be68146b8a4738cb09f33379a7d35cc21b79a6"),
+    ("twist", "50"): ("c317db10f7491a9c191c105cc06447827de4c8b96153396b0ff18c2e02c834de",
+                      "29b2c814937b8cd5f0f7481019402335c7c4cbd9ef644277c2f804838d704227",
+                      "d35847ff8f71156edb31049d3fd6ca57a190c12493b145ff6afd8aa55faf01d7"),
+}
+
+
+@pytest.mark.parametrize("name, samples", list(ANALYZE_DIGESTS))
+def test_analyze_artifacts_are_pinned(tmp_path, name, samples):
+    path = tmp_path / f"{name}.csv"
+    write_curve_csv(path, PINNED_CURVES[name])
+    out = tmp_path / "ana"
+    flags = ["--samples", samples] if samples is not None else []
+    assert run_cli("analyze", str(path), *flags, "--out-dir", str(out)) == 0
+    if name == "twist":
+        changes = json.loads((out / "sign_changes.json").read_text())
+        assert [(c["nearest_disk"], c["direction"]) for c in changes] == [(4, "pos_to_neg")]
+    digests = tuple(hashlib.sha256((out / fname).read_bytes()).hexdigest()
+                    for fname in ("profile.csv", "sign_changes.json", "profile.svg"))
+    assert digests == ANALYZE_DIGESTS[name, samples]
+
+
 def test_analyze_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("x_mm,y_mm,z_mm\n1,2\n")
@@ -229,12 +284,13 @@ def test_cluster_rejects_bad_params_before_writing(tmp_path, capsys, flags):
 @pytest.mark.parametrize("command", ["analyze", "match"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
 def test_threshold_rel_rejected_before_writing(tmp_path, capsys, command, value):
+    # a straight curve spanning the 560 mm backbone passes every other check
     curve = tmp_path / "curve.csv"
-    write_curve_csv(curve, [(0, 0, -10.0 * k) for k in range(12)])
+    write_curve_csv(curve, [(0, 0, -56.0 * k) for k in range(11)])
     code = run_cli(command, str(curve), "--threshold-rel", value,
                    "--out-dir", str(tmp_path / "o"))
     assert code == 2
-    assert "ERROR 2:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("ERROR 2: threshold_rel")
     assert not (tmp_path / "o").exists()
 
 

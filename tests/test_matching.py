@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diskrod.curves import THRESHOLD_REL, CrossingDirection, arc_length_parameterize
+from diskrod.curves import THRESHOLD_REL, CrossingDirection, Curve3D
 from diskrod.matching import (ANGLE_SIGN, DIRECTION_FOR_CROSSING, Direction,
                               analysis_profile, match_shape, step1_identify,
                               step2_tendon, step3_angles)
@@ -47,12 +47,21 @@ def test_step1_two_disks(vb_target, config):
 
 
 def test_match_requires_full_span(config, va_target):
-    short = arc_length_parameterize(va_target.points[:5])
+    short = Curve3D(va_target.points[:5])
     with pytest.raises(ValueError, match="needs >= 10 samples"):
         match_shape(short, config)
-    straight = arc_length_parameterize([(0.0, 0.0, -10.0 * k) for k in range(21)])
+    straight = Curve3D([(0.0, 0.0, -10.0 * k) for k in range(21)])
     with pytest.raises(ValueError, match="does not span"):
         match_shape(straight, config)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+def test_match_rejects_bad_threshold_rel_before_solving(config, monkeypatch, value):
+    import diskrod.model as model
+    monkeypatch.setattr(model, "solve_equilibrium", lambda *a, **kw: pytest.fail("solved"))
+    straight = Curve3D([(0.0, 0.0, -56.0 * k) for k in range(11)])
+    with pytest.raises(ValueError, match="threshold_rel"):
+        match_shape(straight, config, threshold_rel=value)
 
 
 def test_step1_deferred_distal_crossing(config, solve_cached):

@@ -1,0 +1,7 @@
+import diskrod
+
+
+def test_every_export_resolves_once():
+    names = diskrod.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(diskrod, n)] == []
