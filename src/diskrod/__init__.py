@@ -11,8 +11,7 @@ from .matching import (Direction, DiskHypothesis, MatchResult,
                        step2_tendon, step3_angles, step4_tip)
 from .model import (ActuationState, EquilibriumReport, ManipulatorConfig,
                     Shape, WarmStartCache, forward, slack_path_length,
-                    solve_equilibrium, tendon_hole_positions,
-                    tendon_path_length, total_energy)
+                    solve_equilibrium, total_energy)
 from .search import (GoldenSearchSpec, SearchTrace, corresponding_centers,
                      golden_section, rmse_curvature, rmse_shape, tip_error)
 
@@ -25,6 +24,5 @@ __all__ = [
     "ct_profile", "dbscan", "forward", "golden_section", "match_shape",
     "rmse_curvature", "rmse_shape", "slack_path_length", "smooth_profile",
     "solve_equilibrium", "step1_identify", "step2_tendon", "step3_angles",
-    "step4_tip", "tendon_hole_positions", "tendon_path_length", "tip_error",
-    "torsion_sign_changes", "total_energy",
+    "step4_tip", "tip_error", "torsion_sign_changes", "total_energy",
 ]

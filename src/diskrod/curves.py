@@ -269,8 +269,6 @@ def torsion_sign_changes(profile: CTProfile, disk_s,
     changes: list[SignChange] = []
     # split valid samples into contiguous runs
     vi = np.nonzero(valid)[0]
-    if vi.size == 0:
-        return []
     run_breaks = np.nonzero(np.diff(vi) > 1)[0]
     runs = np.split(vi, run_breaks + 1)
     for run in runs:

@@ -110,12 +110,13 @@ def read_raw_points_csv(path) -> RawPointSet:
 
 
 def config_to_dict(config: ManipulatorConfig) -> dict:
-    d = asdict(config)
-    d["gravity_m_per_s2"] = list(config.gravity_m_per_s2)
-    return d
+    return asdict(config)
 
 
 def config_from_dict(d: dict) -> ManipulatorConfig:
+    if not isinstance(d, dict):
+        raise ValueError(f"config JSON must be an object of ManipulatorConfig fields, "
+                         f"got {type(d).__name__}")
     known = set(ManipulatorConfig.__dataclass_fields__)
     unknown = set(d) - known
     if unknown:

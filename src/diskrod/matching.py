@@ -10,7 +10,7 @@ fine-tunes the penultimate disk for the tip region.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,12 +134,14 @@ def analysis_profile(curve: Curve3D, config: ManipulatorConfig,
 
 
 def _probe(spec: GoldenSearchSpec, seed: float, state_at, score, label,
-           config: ManipulatorConfig, cache: WarmStartCache) -> SearchTrace:
+           config: ManipulatorConfig, cache: WarmStartCache
+           ) -> tuple[SearchTrace, ActuationState]:
     """Golden-section search over one actuation coordinate.
 
     Each probe ``x`` solves the equilibrium of ``state_at(x)`` and returns
     ``score(shape)``; a solve that fails is re-raised prefixed by
-    ``label(x)``.  ``seed`` is evaluated first.
+    ``label(x)``.  ``seed`` is evaluated first.  Returns the trace and the
+    state the search ended on, ``state_at(trace.best_x)``.
     """
 
     def objective(x: float) -> float:
@@ -149,7 +151,8 @@ def _probe(spec: GoldenSearchSpec, seed: float, state_at, score, label,
             raise SolverNotConverged(f"{label(x)}: {exc}") from exc
         return score(shape)
 
-    return golden_section(objective, spec, seed_points=[seed])
+    trace = golden_section(objective, spec, seed_points=[seed])
+    return trace, state_at(trace.best_x)
 
 
 def step1_identify(target_profile: CTProfile, config: ManipulatorConfig,
@@ -174,45 +177,44 @@ def step1_identify(target_profile: CTProfile, config: ManipulatorConfig,
     ]
 
 
-def _full_deflection_angles(hyps: list[DiskHypothesis], config) -> list[float]:
-    angles = [0.0] * config.n_disks
-    for h in hyps:
-        if not h.deferred:
-            angles[h.disk_index - 1] = ANGLE_SIGN[h.direction] * 90.0
-    return angles
-
-
 def step2_tendon(target_profile: CTProfile, hyps: list[DiskHypothesis],
-                 config: ManipulatorConfig, cache: WarmStartCache) -> SearchTrace:
+                 config: ManipulatorConfig, cache: WarmStartCache
+                 ) -> tuple[SearchTrace, ActuationState]:
     """Tendon displacement minimizing the curvature-profile RMSE.
 
     The identified disks sit at full deflection in their hypothesized
     directions while the displacement is searched; the curvature profile is
-    nearly independent of the eventual rotation magnitudes.
+    nearly independent of the eventual rotation magnitudes.  Returns the
+    trace and the end state: the best displacement at full deflection.
     """
-    angles = tuple(_full_deflection_angles(hyps, config))
+    angles = [0.0] * config.n_disks
+    for h in hyps:
+        if not h.deferred:
+            angles[h.disk_index - 1] = ANGLE_SIGN[h.direction] * 90.0
+    angles = tuple(angles)
     spec = GoldenSearchSpec(lo=0.0, hi=TENDON_MAX_MM, tol=TENDON_TOL_MM,
                             max_evals=MAX_EVALS)
     return _probe(
         spec, 0.0,
-        lambda delta: ActuationState(tendon_mm=delta, disk_angles_deg=angles),
+        lambda delta: ActuationState(tendon_mm=float(delta), disk_angles_deg=angles),
         lambda shape: rmse_curvature(
             target_profile, analysis_profile(shape.dense_curve, config)),
         lambda delta: f"step2 (tendon {delta:.2f} mm)",
         config, cache)
 
 
-def step3_angles(target_centers: np.ndarray, hyps: list[DiskHypothesis], tendon_mm: float,
-                 config: ManipulatorConfig, cache: WarmStartCache
-                 ) -> tuple[list[SearchTrace], list[float]]:
+def step3_angles(target_centers: np.ndarray, hyps: list[DiskHypothesis],
+                 state: ActuationState, config: ManipulatorConfig, cache: WarmStartCache
+                 ) -> tuple[list[SearchTrace], ActuationState]:
     """Per-disk rotation magnitudes, proximal to distal, against shape RMSE.
 
-    While solving disk i the objective is restricted to disks 1..i+2 (its
-    zone of influence) except for the last hypothesis, which matches the
-    whole disk chain.  Later hypotheses hold full deflection until their
-    turn.  Returns one trace per searched disk and the solved disk angles.
+    Starts from step 2's end state ``state``, where the identified disks sit
+    at full deflection.  While solving disk i the objective is restricted to
+    disks 1..i+2 (its zone of influence) except for the last hypothesis,
+    which matches the whole disk chain.  Later hypotheses hold full
+    deflection until their turn.  Returns one trace per searched disk and the
+    state the last search ended on.
     """
-    angles = _full_deflection_angles(hyps, config)
     active = sorted((h for h in hyps if not h.deferred),
                     key=lambda h: h.source_sign_change.s_pos)
     traces: list[SearchTrace] = []
@@ -221,23 +223,25 @@ def step3_angles(target_centers: np.ndarray, hyps: list[DiskHypothesis], tendon_
         hi_disk = config.n_disks if last else min(hyp.disk_index + 2, config.n_disks)
         index_range = (1, hi_disk)
         sign = ANGLE_SIGN[hyp.direction]
-        entry = ActuationState(tendon_mm=tendon_mm, disk_angles_deg=tuple(angles))
+        entry = state
         spec = GoldenSearchSpec(lo=0.0, hi=90.0, tol=ANGLE_STEP_DEG,
                                 quantize=ANGLE_STEP_DEG, max_evals=MAX_EVALS)
-        trace = _probe(
-            spec, abs(angles[hyp.disk_index - 1]),
+        trace, state = _probe(
+            spec, abs(entry.disk_angles_deg[hyp.disk_index - 1]),
             lambda magnitude: entry.with_angle(hyp.disk_index, sign * magnitude),
             lambda shape: rmse_shape(target_centers, shape.disk_centers, index_range),
             lambda magnitude: f"step3 (disk {hyp.disk_index} at {magnitude:.1f} deg)",
             config, cache)
-        angles[hyp.disk_index - 1] = sign * trace.best_x
         traces.append(trace)
-    return traces, angles
+    return traces, state
 
 
 def step4_tip(target_centers: np.ndarray, state: ActuationState, config: ManipulatorConfig,
-              cache: WarmStartCache) -> SearchTrace:
-    """Penultimate-disk angle minimizing shape RMSE over the tip region."""
+              cache: WarmStartCache) -> tuple[SearchTrace, ActuationState]:
+    """Penultimate-disk angle minimizing shape RMSE over the tip region.
+
+    Starts from step 3's end state; returns the trace and the end state.
+    """
     tip_disk = config.n_disks - 1
     index_range = (config.n_disks - 2, config.n_disks)
     spec = GoldenSearchSpec(lo=-TIP_BRACKET_DEG, hi=TIP_BRACKET_DEG, tol=ANGLE_STEP_DEG,
@@ -268,15 +272,9 @@ def match_shape(target: Curve3D, config: ManipulatorConfig,
     target_profile = analysis_profile(target, config)
     target_centers = corresponding_centers(target, config.n_disks)
     hyps = step1_identify(target_profile, config, threshold_rel)
-    trace2 = step2_tendon(target_profile, hyps, config, cache)
-    state2 = ActuationState(tendon_mm=float(trace2.best_x),
-                            disk_angles_deg=tuple(_full_deflection_angles(hyps, config)))
-
-    traces3, angles = step3_angles(target_centers, hyps, state2.tendon_mm, config, cache)
-    state3 = replace(state2, disk_angles_deg=tuple(angles))
-
-    trace4 = step4_tip(target_centers, state3, config, cache)
-    state4 = state3.with_angle(config.n_disks - 1, float(trace4.best_x))
+    trace2, state2 = step2_tendon(target_profile, hyps, config, cache)
+    traces3, state3 = step3_angles(target_centers, hyps, state2, config, cache)
+    trace4, state4 = step4_tip(target_centers, state3, config, cache)
 
     # each step's search evaluated its end state, so these are cache hits
     stages = {name: MatchStage(state, forward(config, state, cache))

@@ -182,12 +182,6 @@ class EquilibriumReport:
     hess_inv: np.ndarray | None = None
 
 
-def _check_actuation(config: ManipulatorConfig, actuation: ActuationState) -> None:
-    if len(actuation.disk_angles_deg) != config.n_disks:
-        raise DimensionMismatch(
-            f"{len(actuation.disk_angles_deg)} disk angles for {config.n_disks} disks")
-
-
 def _propagate(psi: np.ndarray, length: float):
     """Node positions, node frames and the rotation coefficients of the
     per-element rotation vectors ``psi`` (n_elements, 3), elements ``length`` mm."""
@@ -208,12 +202,6 @@ def _disk_row_indices(config: ManipulatorConfig) -> np.ndarray:
     return np.concatenate(([0], config.disk_node_indices))
 
 
-def _disk_rows(positions, frames, config: ManipulatorConfig):
-    """Base-plate row plus one row per disk, picked from the node arrays."""
-    rows = _disk_row_indices(config)
-    return positions[rows], frames[rows]
-
-
 def _local_holes(theta_rad, radius: float) -> np.ndarray:
     """Hole offsets in the base-plate and disk frames: the base anchor sits at
     angle zero, disk i's hole at ``theta_rad[i]``."""
@@ -231,37 +219,20 @@ def _tendon_holes(centers, frames, local):
     return centers + offsets, offsets[1:]
 
 
-def _polyline_length(holes: np.ndarray) -> float:
-    return float(np.linalg.norm(np.diff(holes, axis=0), axis=1).sum())
-
-
 def slack_path_length(config: ManipulatorConfig, actuation: ActuationState) -> float:
-    """Tendon path length through the holes with the backbone straight."""
-    _check_actuation(config, actuation)
-    n_nodes = config.n_elements + 1
-    positions = np.zeros((n_nodes, 3))
-    positions[:, 2] = -np.arange(n_nodes) * config.element_length_mm
-    frames = np.broadcast_to(np.eye(3), (n_nodes, 3, 3))
-    holes, _ = _tendon_holes(*_disk_rows(positions, frames, config),
+    """Tendon path length through the holes with the backbone straight: the
+    base plate and disks hang along -z with identity frames.  Every solve
+    starts here, so this is where the disk-angle count is checked."""
+    if len(actuation.disk_angles_deg) != config.n_disks:
+        raise DimensionMismatch(
+            f"{len(actuation.disk_angles_deg)} disk angles for {config.n_disks} disks")
+    rows = _disk_row_indices(config)
+    centers = np.zeros((len(rows), 3))
+    centers[:, 2] = -rows * config.element_length_mm
+    holes, _ = _tendon_holes(centers, np.broadcast_to(np.eye(3), (len(rows), 3, 3)),
                              _local_holes(np.deg2rad(actuation.disk_angles_deg),
                                           config.tendon_hole_radius_mm))
-    return _polyline_length(holes)
-
-
-def tendon_hole_positions(shape: Shape, config: ManipulatorConfig,
-                          actuation: ActuationState) -> np.ndarray:
-    """Hole positions on the (possibly deformed) shape, base anchor first."""
-    _check_actuation(config, actuation)
-    holes, _ = _tendon_holes(shape.disk_centers, shape.disk_frames,
-                             _local_holes(np.deg2rad(actuation.disk_angles_deg),
-                                          config.tendon_hole_radius_mm))
-    return holes
-
-
-def tendon_path_length(shape: Shape, config: ManipulatorConfig,
-                       actuation: ActuationState) -> float:
-    """Chord-summed length of the tendon polyline from base anchor to tip."""
-    return _polyline_length(tendon_hole_positions(shape, config, actuation))
+    return float(np.linalg.norm(np.diff(holes, axis=0), axis=1).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,7 +347,6 @@ def total_energy(dof, config: ManipulatorConfig, actuation: ActuationState) -> f
     ``dof`` holds three strains per element (two bending curvatures and one
     twist rate, 1/mm), flat or (n_elements, 3).
     """
-    _check_actuation(config, actuation)
     dof = np.asarray(dof, dtype=float)
     n_el = config.n_elements
     if dof.size != 3 * n_el:
@@ -388,7 +358,8 @@ def total_energy(dof, config: ManipulatorConfig, actuation: ActuationState) -> f
 
 
 def _make_shape(positions, frames, config: ManipulatorConfig) -> Shape:
-    centers, fr = _disk_rows(positions, frames, config)
+    rows = _disk_row_indices(config)
+    centers, fr = positions[rows], frames[rows]
     # disk 1 shares the clamp with the base plate, so distance checks start at
     # the disk1-disk2 gap; an inextensible backbone can only shorten chords
     seg = config.segment_length_mm
@@ -471,7 +442,6 @@ def solve_equilibrium(config: ManipulatorConfig, actuation: ActuationState,
     rotation vectors) is at or below GRAD_TOL_MJ_PER_RAD.  Slow convergence
     is reported via converged=False, never raised.
     """
-    _check_actuation(config, actuation)
     rod = _actuated_rod(config, actuation)
     n_el, length = rod.n_el, rod.length
     if warm_start is None:
@@ -559,17 +529,14 @@ class WarmStartCache:
 def forward(config: ManipulatorConfig, actuation: ActuationState,
             cache: WarmStartCache | None = None) -> Shape:
     """Equilibrium shape for an actuation; warm-started when a cache is given."""
-    if cache is not None:
-        hit = cache.lookup(actuation)
-        if hit is not None:
-            return hit.shape
-        warm, hess_inv = cache.last_start()
-    else:
-        warm, hess_inv = None, None
+    cache = WarmStartCache() if cache is None else cache
+    hit = cache.lookup(actuation)
+    if hit is not None:
+        return hit.shape
+    warm, hess_inv = cache.last_start()
     report = solve_equilibrium(config, actuation, warm_start=warm, warm_hess_inv=hess_inv)
     if not report.converged:
         raise SolverNotConverged(
             f"gradient {report.gradient_inf_norm:.3e} mJ/rad after {report.iterations} iterations")
-    if cache is not None:
-        cache.store(actuation, report)
+    cache.store(actuation, report)
     return report.shape

@@ -22,10 +22,10 @@ class GoldenSearchSpec:
     max_evals: int = 100
 
     def __post_init__(self):
-        if not self.lo < self.hi:
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
             raise InvalidBracket(f"[{self.lo}, {self.hi}]")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
         if self.quantize is not None and not (0 < self.quantize <= self.hi - self.lo):
             raise ValueError("quantize must be in (0, hi-lo]")
 

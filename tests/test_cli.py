@@ -310,6 +310,16 @@ def test_malformed_config_rejected_before_writing(tmp_path, capsys, field, value
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text", ["5", "null", "[]", '"abc"'])
+def test_config_json_not_an_object_rejected_before_writing(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code = run_cli("simulate", "--config", str(path), "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("ERROR 2: config JSON must be an object")
+    assert not (tmp_path / "o").exists()
+
+
 def test_match_truncated_target(tmp_path, capsys):
     sim = tmp_path / "sim"
     assert run_cli("simulate", "--tendon-mm", "100", "--out-dir", str(sim)) == 0

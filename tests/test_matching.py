@@ -4,7 +4,7 @@ import pytest
 from diskrod.curves import THRESHOLD_REL, CrossingDirection, Curve3D
 from diskrod.matching import (ANGLE_SIGN, DIRECTION_FOR_CROSSING, Direction,
                               analysis_profile, match_shape, step1_identify,
-                              step2_tendon, step3_angles)
+                              step2_tendon, step3_angles, step4_tip)
 from diskrod.model import ActuationState, WarmStartCache, forward
 from diskrod.search import corresponding_centers, rmse_curvature, rmse_shape, tip_error
 from conftest import actuation
@@ -73,20 +73,50 @@ def test_step1_deferred_distal_crossing(config, solve_cached):
     active = [h for h in hyps if not h.deferred]
     assert len(active) == 1 and active[0].disk_index == 5
     assert all(h.disk_index >= 7 for h in deferred)
-    traces, angles = step3_angles(corresponding_centers(target, config.n_disks), hyps, 100.0,
-                                  config, WarmStartCache())
+    # step 2's end state: the tendon found, disk 5 at full deflection
+    entry = actuation(100.0, d5=ANGLE_SIGN[active[0].direction] * 90.0)
+    traces, state = step3_angles(corresponding_centers(target, config.n_disks), hyps, entry,
+                                 config, WarmStartCache())
     assert len(traces) == len(active)
-    assert abs(angles[4]) == traces[0].best_x
-    assert [a for i, a in enumerate(angles) if i != 4] == [0.0] * 8
+    assert traces[0].evaluations[0][0] == 90.0  # the search starts from the entry state
+    assert state.tendon_mm == 100.0
+    assert abs(state.disk_angles_deg[4]) == traces[0].best_x
+    assert [a for i, a in enumerate(state.disk_angles_deg) if i != 4] == [0.0] * 8
 
 
 # ------------------------------------------------------------------- step 2
 
 def test_step2_straight_target_zero_tendon(config, solve_cached):
     target = solve_cached(0.0).shape.dense_curve
-    trace = step2_tendon(analysis_profile(target, config), [], config, WarmStartCache())
+    trace, state = step2_tendon(analysis_profile(target, config), [], config, WarmStartCache())
     assert trace.converged
     assert abs(trace.best_x - 0.0) <= 1.0
+    assert state == ActuationState(tendon_mm=trace.best_x)  # no disk turned
+    assert type(state.tendon_mm) is float
+
+
+def test_steps_chain_reproduces_match(va_target, va_match, config):
+    # each step starts from the state the previous one returned, through one
+    # shared cache, exactly as match_shape runs them
+    cache = WarmStartCache()
+    profile = analysis_profile(va_target, config)
+    centers = corresponding_centers(va_target, config.n_disks)
+    hyps = step1_identify(profile, config, THRESHOLD_REL)
+    trace2, state2 = step2_tendon(profile, hyps, config, cache)
+    traces3, state3 = step3_angles(centers, hyps, state2, config, cache)
+    trace4, state4 = step4_tip(centers, state3, config, cache)
+    assert hyps == va_match.hypotheses
+    assert (trace2, traces3, trace4) == (va_match.step2_trace, va_match.step3_traces,
+                                         va_match.step4_trace)
+    for name, state in (("step2", state2), ("step3", state3), ("step4", state4)):
+        assert state == va_match.stages[name].actuation
+    # every end state is the best point its step's search evaluated
+    assert state2.tendon_mm == trace2.best_x
+    (hyp,) = [h for h in hyps if not h.deferred]
+    assert state3 == state2.with_angle(hyp.disk_index, ANGLE_SIGN[hyp.direction] * traces3[0].best_x)
+    assert state4 == state3.with_angle(config.n_disks - 1, trace4.best_x)
+    assert np.array_equal(forward(config, state4, cache).disk_centers,
+                          va_match.attained_shape.disk_centers)
 
 
 def test_step2_recovers_tendon(va_target, va_match):

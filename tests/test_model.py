@@ -12,7 +12,6 @@ import diskrod.model as model
 from diskrod.errors import DimensionMismatch, NonFiniteEnergy, SolverNotConverged
 from diskrod.model import (ActuationState, ManipulatorConfig, WarmStartCache,
                            forward, slack_path_length, solve_equilibrium,
-                           tendon_hole_positions, tendon_path_length,
                            total_energy)
 from diskrod.model import _energy_and_gradient, _rod
 from diskrod.rotations import SMALL_ANGLE
@@ -72,21 +71,22 @@ def test_actuation_bounds():
 
 # ------------------------------------------------------------- hole geometry
 
-def straight_shape(config):
-    return solve_equilibrium(config, ActuationState(
-        tendon_mm=0.0), warm_start=np.zeros(3 * config.n_elements)).shape
+def hole_positions(shape, config, act):
+    """Tendon holes on a solved shape, base anchor first, as the kernel places them."""
+    local = model._local_holes(np.deg2rad(act.disk_angles_deg), config.tendon_hole_radius_mm)
+    return model._tendon_holes(shape.disk_centers, shape.disk_frames, local)[0]
 
 
 def test_hole_positions_straight(config, solve_cached):
     shape = solve_cached(0.0).shape
-    holes = tendon_hole_positions(shape, config, ActuationState(0.0))
+    holes = hole_positions(shape, config, ActuationState(0.0))
     assert np.allclose(holes[:, 0], 34.0)
     assert np.allclose(holes[:, 1], 0.0)
 
 
 def test_hole_positions_single_rotation(config, solve_cached):
     shape = solve_cached(0.0).shape
-    holes = tendon_hole_positions(shape, config, actuation(0.0, d5=90.0))
+    holes = hole_positions(shape, config, actuation(0.0, d5=90.0))
     assert np.allclose(holes[5], [0.0, 34.0, -280.0], atol=1e-9)
     others = np.delete(np.arange(10), 5)
     assert np.allclose(holes[others][:, 0], 34.0)
@@ -94,32 +94,29 @@ def test_hole_positions_single_rotation(config, solve_cached):
 
 def test_hole_positions_mirror(config, solve_cached):
     shape = solve_cached(0.0).shape
-    plus = tendon_hole_positions(shape, config, actuation(0.0, d5=90.0))
-    minus = tendon_hole_positions(shape, config, actuation(0.0, d5=-90.0))
+    plus = hole_positions(shape, config, actuation(0.0, d5=90.0))
+    minus = hole_positions(shape, config, actuation(0.0, d5=-90.0))
     assert np.allclose(plus[5] * np.array([1, -1, 1]), minus[5])
 
 
-def test_path_length_straight_is_backbone(config, solve_cached):
-    shape = solve_cached(0.0).shape
-    assert tendon_path_length(shape, config, ActuationState(0.0)) == pytest.approx(560.0)
+def test_path_length_straight_is_backbone(config):
+    assert slack_path_length(config, ActuationState(0.0)) == pytest.approx(560.0)
 
 
-def test_path_length_single_kink_formula(config, solve_cached):
-    shape = solve_cached(0.0).shape
-    got = tendon_path_length(shape, config, actuation(0.0, d5=90.0))
+def test_path_length_single_kink_formula(config):
+    got = slack_path_length(config, actuation(0.0, d5=90.0))
     # chord formula on the two affected 70 mm segments
     kink = np.sqrt(70.0 ** 2 + 2.0 * 34.0 ** 2 * (1.0 - np.cos(np.pi / 2)))
     assert got == pytest.approx(560.0 + 2.0 * (kink - 70.0))
 
 
-def test_path_length_permutation_of_equal_angles(config, solve_cached):
-    shape = solve_cached(0.0).shape
-    a = tendon_path_length(shape, config, actuation(0.0, d3=45.0, d6=45.0))
-    b = tendon_path_length(shape, config, actuation(0.0, d3=45.0, d6=45.0))
+def test_path_length_permutation_of_equal_angles(config):
+    a = slack_path_length(config, actuation(0.0, d3=45.0, d6=45.0))
+    b = slack_path_length(config, actuation(0.0, d3=45.0, d6=45.0))
     assert a == b
     # swapping which of two symmetric disks carries the angle keeps the set
-    c = tendon_path_length(shape, config, actuation(0.0, d4=30.0, d6=30.0))
-    d = tendon_path_length(shape, config, actuation(0.0, d6=30.0, d4=30.0))
+    c = slack_path_length(config, actuation(0.0, d4=30.0, d6=30.0))
+    d = slack_path_length(config, actuation(0.0, d6=30.0, d4=30.0))
     assert c == d
 
 
@@ -384,9 +381,12 @@ def test_non_finite_energy_raises():
 def test_warm_start_dimension_mismatch(config):
     with pytest.raises(DimensionMismatch):
         solve_equilibrium(config, ActuationState(0.0), warm_start=np.zeros(7))
-    with pytest.raises(DimensionMismatch):
-        total_energy(np.zeros(3 * config.n_elements), config,
-                     ActuationState(0.0, (0.0,) * 5))
+    five_disks = ActuationState(0.0, (0.0,) * 5)
+    for call in (lambda: total_energy(np.zeros(3 * config.n_elements), config, five_disks),
+                 lambda: solve_equilibrium(config, five_disks),
+                 lambda: slack_path_length(config, five_disks)):
+        with pytest.raises(DimensionMismatch, match="5 disk angles for 9 disks"):
+            call()
 
 
 def test_solver_budget_reports_not_converged(config, monkeypatch):

@@ -86,8 +86,16 @@ def test_constant_objective():
 
 
 def test_invalid_bracket():
-    with pytest.raises(InvalidBracket):
-        GoldenSearchSpec(lo=2.0, hi=2.0, tol=1e-3)
+    nan, inf = float("nan"), float("inf")
+    for lo, hi in [(2.0, 2.0), (3.0, 2.0), (nan, 1.0), (0.0, nan), (0.0, inf), (-inf, 1.0)]:
+        with pytest.raises(InvalidBracket):
+            GoldenSearchSpec(lo=lo, hi=hi, tol=1e-3)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
+def test_invalid_tolerance(tol):
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        GoldenSearchSpec(lo=0.0, hi=1.0, tol=tol)
 
 
 def test_eval_budget_returns_best_so_far():
