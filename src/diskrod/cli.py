@@ -8,6 +8,7 @@ count mismatch.  Every failure prints a single machine-greppable line
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -249,6 +250,7 @@ def cmd_match(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diskrod",
@@ -283,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-pts", type=int, default=3)
     p.add_argument("--expect", type=_parse_expect, default=None,
                    help="expected cluster count; orders centroids from the base")
-    p.add_argument("--base-hint", type=_parse_base_hint,
-                   default=[0.0, 0.0, 0.0], metavar="X,Y,Z")
+    p.add_argument("--base-hint", type=_parse_base_hint,  # a tuple: every parse shares it
+                   default=(0.0, 0.0, 0.0), metavar="X,Y,Z")
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_cluster)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -26,6 +27,8 @@ class GoldenSearchSpec:
             raise InvalidBracket(f"[{self.lo}, {self.hi}]")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
+        if not (isinstance(self.max_evals, numbers.Integral) and self.max_evals >= 1):
+            raise ValueError(f"max_evals must be an integer >= 1, got {self.max_evals!r}")
         if self.quantize is not None and not (0 < self.quantize <= self.hi - self.lo):
             raise ValueError("quantize must be in (0, hi-lo]")
 

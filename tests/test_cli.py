@@ -232,6 +232,25 @@ def test_cluster_ignores_a_fourth_column(tmp_path):
                 == (tmp_path / "labelled" / name).read_bytes())
 
 
+def test_parser_reuse_leaves_defaults_intact(tmp_path, capsys):
+    # one parser serves every call in a process: a run with --base-hint must
+    # not change what the next run without it gets
+    path = tmp_path / "raw.csv"
+    centers = blob_csv(path)
+    argv = ["cluster", str(path), "--eps", "5", "--min-pts", "4", "--expect", "10"]
+    hint = ",".join(str(v) for v in centers[0])  # the end the default (0, 0, 0) does not pick
+    for name, extra in (("first", []), ("hinted", ["--base-hint", hint]), ("again", [])):
+        assert run_cli(*argv, *extra, "--out-dir", str(tmp_path / name)) == 0
+    for name in ("centroids.csv", "cluster_report.json", "cluster_manifest.json"):
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
+    assert ((tmp_path / "first" / "centroids.csv").read_bytes()
+            != (tmp_path / "hinted" / "centroids.csv").read_bytes())
+    for _ in range(2):
+        assert run_cli("--version") == 0
+        assert run_cli("cluster", "--no-such-flag") == 2
+    assert capsys.readouterr().err.count("ERROR 2: invalid arguments") == 2
+
+
 def test_curve_and_raw_point_readers_agree(tmp_path):
     path = tmp_path / "raw.csv"
     blob_csv(path)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from diskrod import clustering
 from diskrod.clustering import RawPointSet, centers_to_curve, dbscan
 from diskrod.errors import ClusterCountMismatch, InvalidParams, TooFewPoints
 
@@ -323,12 +324,97 @@ def test_clusters_ordered_by_lowest_core_point_not_first_member():
     np.testing.assert_array_equal(labels_of(result, 9), oracle_labels(pts, 0.5, 3))
 
 
+@pytest.mark.parametrize("eps", [5.0, np.nextafter(5.0, 0.0)], ids=["at-5", "below-5"])
+@pytest.mark.parametrize("min_pts", [2, 3, 5])
+def test_lattice_pairs_at_exactly_eps_match_oracle(eps, min_pts):
+    # integer points: axis steps of 5 and 3-4-5 steps put many pairs at exactly
+    # 5, some of them two cells of side eps / sqrt(3) apart along an axis
+    pts = np.random.default_rng(7).integers(0, 17, (150, 3)).astype(float)
+    d2 = np.sum((pts[:, None] - pts[None, :]) ** 2, axis=2)
+    cells = np.floor(pts / (5.0 / np.sqrt(3.0)))
+    two_apart = (np.abs(cells[:, None] - cells[None, :]) == 2).any(axis=2)
+    assert (two_apart & (d2 == 25.0)).any()
+    result = dbscan(RawPointSet(points=pts), eps=eps, min_pts=min_pts)
+    np.testing.assert_array_equal(labels_of(result, len(pts)), oracle_labels(pts, eps, min_pts))
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.3, 1.0, 8.0, 1e5])
+def test_opposite_corners_of_one_cell_are_within_eps(eps):
+    # the two farthest points one cell can hold: a cell of >= min_pts points
+    # is taken as all core, so they must be neighbors
+    corner = np.nextafter(clustering.CELL_SIDE * eps, 0.0)
+    pts = np.array([[0.0, 0.0, 0.0], [corner, corner, corner]])
+    assert np.sum((pts[1] - pts[0]) ** 2) <= eps * eps
+    result = dbscan(RawPointSet(points=pts), eps=eps, min_pts=2)
+    np.testing.assert_array_equal(labels_of(result, 2), oracle_labels(pts, eps, 2))
+
+
+@pytest.mark.parametrize("eps", [1.0, 8.0])
+@pytest.mark.parametrize("min_pts", [1, 2, 4])
+def test_points_on_cell_faces_match_oracle(eps, min_pts):
+    # every coordinate a multiple of the cell side eps / sqrt(3)
+    k = np.random.default_rng(5).integers(0, 9, (200, 3))
+    pts = k * (eps / np.sqrt(3.0))
+    result = dbscan(RawPointSet(points=pts), eps=eps, min_pts=min_pts)
+    np.testing.assert_array_equal(labels_of(result, len(pts)), oracle_labels(pts, eps, min_pts))
+
+
+@pytest.mark.parametrize("shift", [-1e6, 1e6])
+def test_translated_cloud_matches_oracle(shift):
+    raw, _ = blob_instance(seed=8, n_blobs=6, pts_per_blob=15, sigma=2.0)
+    pts = np.vstack([raw.points, np.random.default_rng(8).uniform(-20, 160, (10, 3))]) + shift
+    result = dbscan(RawPointSet(points=pts), eps=5.0, min_pts=4)
+    np.testing.assert_array_equal(labels_of(result, len(pts)), oracle_labels(pts, 5.0, 4))
+
+
+@pytest.mark.parametrize("min_pts", [2, 4, 8])
+def test_cloud_far_from_a_lone_point_matches_oracle(min_pts):
+    # a lattice 1e15 mm out, where float spacing is 0.125 mm, and one point at
+    # the origin: counted from the origin, cells would be numbered past int64
+    rng = np.random.default_rng(4)
+    steps = rng.integers(0, 4, (300, 3)) + 3 * rng.integers(0, 6, (300, 3))
+    pts = np.vstack([[[0.0, 0.0, 0.0]], 1e15 + 0.125 * steps])
+    result = dbscan(RawPointSet(points=pts), eps=1.0, min_pts=min_pts)
+    np.testing.assert_array_equal(labels_of(result, len(pts)), oracle_labels(pts, 1.0, min_pts))
+
+
+@pytest.mark.parametrize("copies", [1, 2, 7])
+@pytest.mark.parametrize("min_pts", [1, 2, 7, 8])
+def test_one_point_alone_or_repeated_matches_oracle(copies, min_pts):
+    pts = np.tile([[1.5, -2.0, 1e3]], (copies, 1))
+    result = dbscan(RawPointSet(points=pts), eps=0.5, min_pts=min_pts)
+    np.testing.assert_array_equal(labels_of(result, copies), oracle_labels(pts, 0.5, min_pts))
+
+
+@pytest.mark.parametrize("min_pts", [2, 8, 15, 19, 20])
+def test_min_pts_above_every_cell_matches_oracle(min_pts):
+    # a jittered lattice 0.6 eps apart: each cell of side eps / sqrt(3) < 0.58 eps
+    # holds at most one point, while a point has up to 19 neighbors (itself
+    # included) at one lattice step along an axis or a face diagonal
+    rng = np.random.default_rng(11)
+    grid = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    pts = (0.6 * grid + rng.uniform(-0.005, 0.005, grid.shape))[rng.permutation(len(grid))]
+    result = dbscan(RawPointSet(points=pts), eps=1.0, min_pts=min_pts)
+    np.testing.assert_array_equal(labels_of(result, len(pts)), oracle_labels(pts, 1.0, min_pts))
+
+
+def test_bench_like_cloud_matches_oracle():
+    # about 1500 stylus touches around nine centers, sigma 1 mm, with 1 % of
+    # outliers, at the cluster command's defaults
+    raw, _ = blob_instance(seed=17, n_blobs=9, pts_per_blob=165, sigma=1.0)
+    rng = np.random.default_rng(17)
+    pts = np.vstack([raw.points, rng.uniform(-30, 170, (15, 3))])[rng.permutation(1500)]
+    result = dbscan(RawPointSet(points=pts), eps=8.0, min_pts=3)
+    np.testing.assert_array_equal(labels_of(result, len(pts)), oracle_labels(pts, 8.0, 3))
+    for members, centroid in zip(result.clusters, result.centroids):
+        np.testing.assert_array_equal(pts[members].mean(axis=0), centroid)
+
+
 def test_memory_stays_below_one_dense_matrix():
     # 5000 stylus touches around nine disk centers, sigma 1 mm, as the
     # benchmark's measure clouds; a dense n x n float64 matrix would be 200 MB.
-    # tracemalloc sees numpy and Python allocations only, not cKDTree's native
-    # tree and pair buffers, so this guards against a dense matrix coming back
-    # and is not dbscan's whole footprint
+    # dbscan allocates only numpy arrays and Python objects, which tracemalloc
+    # sees, so this bounds its whole footprint
     n = 5000
     raw, _ = blob_instance(seed=21, n_blobs=9, pts_per_blob=n // 9 + 1, sigma=1.0)
     raw = RawPointSet(points=raw.points[:n])

@@ -98,6 +98,18 @@ def test_invalid_tolerance(tol):
         GoldenSearchSpec(lo=0.0, hi=1.0, tol=tol)
 
 
+@pytest.mark.parametrize("max_evals", [0, -3, 2.5], ids=["0", "-3", "2.5"])
+def test_invalid_max_evals(max_evals):
+    with pytest.raises(ValueError, match="max_evals must be an integer >= 1"):
+        GoldenSearchSpec(lo=0.0, hi=1.0, tol=1e-3, max_evals=max_evals)
+
+
+def test_numpy_integer_max_evals_accepted():
+    trace = golden_section(lambda x: (x - 0.3) ** 2,
+                           GoldenSearchSpec(lo=0.0, hi=1.0, tol=1e-12, max_evals=np.int64(6)))
+    assert len(trace.evaluations) == 6
+
+
 def test_eval_budget_returns_best_so_far():
     trace = golden_section(lambda x: (x - 2.0) ** 2,
                            GoldenSearchSpec(lo=0.0, hi=5.0, tol=1e-12, max_evals=6))
