@@ -3,6 +3,11 @@
 Pipeline: raw points -> chord-parameterized curve -> curvature/torsion
 profile by nonuniform finite differences -> smoothing-spline profile on a
 uniform arc grid -> torsion zero crossings mapped to disk positions.
+
+The smoothing spline is the natural cubic smoother computed by Reinsch's
+algorithm: one pentadiagonal banded solve for its second derivatives at the
+knots, so a fit costs O(n), and 4 samples, the fewest a profile can have,
+are enough.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import make_smoothing_spline
+from scipy.linalg import solveh_banded
 
 from .errors import DegenerateSegment, TooFewPoints, TooFewValidSamples
 
@@ -215,12 +220,35 @@ def smooth_profile(profile: CTProfile) -> CTProfile:
 def _spline_fit(s, values, at, arc) -> np.ndarray:
     """Smoothing spline through ``(s, values)``, evaluated at ``at``.
 
-    SPLINE_LAM is defined on a unit arc span, so the fit runs on the arc
-    coordinate with ``arc``'s range rescaled to [0, 1].
+    The natural cubic g minimising sum (values - g(s))^2 + SPLINE_LAM * int g''^2,
+    by Reinsch's algorithm (Green & Silverman 1994, section 2.3): with Q the
+    second divided differences and R the tridiagonal Gram matrix of the hat
+    functions, g'' at the interior knots solves the pentadiagonal system
+    (R + lam Q^T Q) gamma = Q^T values, and g = values - lam Q gamma at the
+    knots.  SPLINE_LAM is defined on a unit arc span, so the fit runs on the
+    arc coordinate with ``arc``'s range rescaled to [0, 1].  Needs >= 3
+    samples; ``at`` must lie within ``s``'s range.  A NaN or inf value raises
+    ValueError.
     """
     s0, span = arc[0], arc[-1] - arc[0]
-    fit = make_smoothing_spline((s - s0) / span, values, lam=SPLINE_LAM)
-    return fit((at - s0) / span)
+    x, t = (s - s0) / span, (at - s0) / span
+    h = np.diff(x)
+    inv_h = 1.0 / h
+    q_lo, q_mid, q_hi = inv_h[:-1], -inv_h[:-1] - inv_h[1:], inv_h[1:]  # Q's bands
+    bands = np.zeros((3, len(x) - 2))  # upper form: superdiagonals 2, 1, diagonal
+    bands[0, 2:] = SPLINE_LAM * q_hi[:-2] * q_lo[2:]
+    bands[1, 1:] = h[1:-1] / 6.0 + SPLINE_LAM * (q_mid[:-1] * q_lo[1:] + q_hi[:-1] * q_mid[1:])
+    bands[2] = (h[:-1] + h[1:]) / 3.0 + SPLINE_LAM * (q_lo**2 + q_mid**2 + q_hi**2)
+    slopes = np.diff(values) * inv_h
+    gamma = np.zeros(len(x))  # natural spline: g'' = 0 at both ends
+    gamma[1:-1] = solveh_banded(bands, np.diff(slopes))
+    g = values - SPLINE_LAM * np.diff(np.diff(gamma) * inv_h, prepend=0.0, append=0.0)
+
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+    hi = h[i]
+    a, b = (x[i + 1] - t) / hi, (t - x[i]) / hi
+    return (a * g[i] + b * g[i + 1]
+            + ((a**3 - a) * gamma[i] + (b**3 - b) * gamma[i + 1]) * hi**2 / 6.0)
 
 
 def _crossings_in_run(s, tau, idx):

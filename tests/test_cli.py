@@ -173,6 +173,16 @@ def test_analyze_artifacts_are_pinned(tmp_path, name, samples):
     assert digests == ANALYZE_DIGESTS[name, samples]
 
 
+def test_analyze_four_samples_writes_every_artifact(tmp_path):
+    path = tmp_path / "short.csv"
+    write_curve_csv(path, np.array([[0, 0, 0], [1, 0, -10], [3, 1, -20], [6, 3, -29],
+                                    [10, 6, -37]], dtype=float))
+    out = tmp_path / "ana"
+    assert run_cli("analyze", str(path), "--samples", "4", "--out-dir", str(out)) == 0
+    for fname in ("profile.csv", "sign_changes.json", "profile.svg"):
+        assert (out / fname).stat().st_size > 0
+
+
 def test_analyze_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("x_mm,y_mm,z_mm\n1,2\n")

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline, make_smoothing_spline
 from scipy.spatial.transform import Rotation
 
-from diskrod.curves import (EPS_CROSS, GRID_POINTS, CrossingDirection, CTProfile, Curve3D,
-                            ct_profile, fd_weights, smooth_profile, torsion_sign_changes)
+from diskrod.curves import (EPS_CROSS, GRID_POINTS, SPLINE_LAM, CrossingDirection, CTProfile,
+                            Curve3D, _spline_fit, ct_profile, fd_weights, smooth_profile,
+                            torsion_sign_changes)
 from diskrod.errors import DegenerateSegment, TooFewPoints, TooFewValidSamples
 
 DISKS_70 = np.arange(9) * 70.0
@@ -301,6 +303,84 @@ def test_smoothing_too_few_valid_samples():
     with pytest.raises(TooFewValidSamples):
         smooth_profile(CTProfile(s=s[:3], kappa=np.full(3, 0.01), tau=tau[:3],
                                  kappa_valid=valid[:3]))
+
+
+def test_smoothing_fits_four_valid_torsion_samples():
+    s = np.linspace(0.0, 100.0, 10)
+    valid = np.zeros(10, dtype=bool)
+    valid[3:7] = True
+    tau = np.where(valid, 0.001 + 1e-5 * s, 0.0)
+    prof = CTProfile(s=s, kappa=np.full(10, 0.01), tau=tau, kappa_valid=valid)
+    out = smooth_profile(prof)
+    in_range = (out.s >= s[3]) & (out.s <= s[6])
+    assert np.array_equal(out.kappa_valid, in_range) and in_range.sum() > 20
+    assert np.allclose(out.tau[in_range], 0.001 + 1e-5 * out.s[in_range], rtol=1e-12)
+    assert np.all(out.tau[~in_range] == 0.0)
+
+
+# ------------------------------------------------------- smoothing spline oracles
+
+def near_uniform_arc(n, seed):
+    """n increasing arc positions (mm), each moved by up to a quarter spacing."""
+    rng = np.random.default_rng(seed)
+    step = 560.0 / (n - 1)
+    return np.arange(n) * step + rng.uniform(-0.25, 0.25, n) * step
+
+
+def profile_values(s, seed):
+    rng = np.random.default_rng(seed)
+    return 0.01 * np.sin(s / 90.0) + 0.004 + rng.normal(0.0, 5e-4, len(s))
+
+
+@pytest.mark.parametrize("n", [5, 9, 50, 1000])
+def test_spline_fit_matches_scipy_smoothing_spline(n):
+    # scipy's B-spline system is ill-conditioned on clustered knots, so the
+    # oracle is only tight on near-uniform ones
+    s = near_uniform_arc(n, seed=n)
+    values = profile_values(s, seed=n + 1)
+    at = np.linspace(s[0], s[-1], GRID_POINTS)
+    span = s[-1] - s[0]
+    ref = make_smoothing_spline((s - s[0]) / span, values, lam=SPLINE_LAM)((at - s[0]) / span)
+    got = _spline_fit(s, values, at, s)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [4, 5, 9])
+def test_spline_fit_matches_dense_penalised_solve(n):
+    s = np.sort(np.random.default_rng(n).uniform(0.0, 560.0, n))
+    values = profile_values(s, seed=n + 1)
+    x = (s - s[0]) / (s[-1] - s[0])
+    h = np.diff(x)
+    q = np.zeros((n, n - 2))
+    r = np.zeros((n - 2, n - 2))
+    for j in range(n - 2):
+        q[j:j + 3, j] = 1 / h[j], -1 / h[j] - 1 / h[j + 1], 1 / h[j + 1]
+        r[j, j] = (h[j] + h[j + 1]) / 3
+        if j + 1 < n - 2:
+            r[j, j + 1] = r[j + 1, j] = h[j + 1] / 6
+    gamma = np.linalg.solve(r + SPLINE_LAM * q.T @ q, q.T @ values)
+    knots = values - SPLINE_LAM * q @ gamma
+    # the natural cubic through the fitted knot values has g'' = gamma inside
+    at = np.linspace(s[0], s[-1], GRID_POINTS)
+    ref = CubicSpline(x, knots, bc_type="natural")((at - s[0]) / (s[-1] - s[0]))
+    assert np.abs(_spline_fit(s, values, at, s) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [3, 4, 50])
+def test_spline_fit_reproduces_linear_data(n):
+    s = np.sort(np.random.default_rng(n).uniform(0.0, 560.0, n))
+    at = np.linspace(s[0], s[-1], GRID_POINTS)
+    got = _spline_fit(s, 0.003 - 2e-6 * s, at, s)
+    assert np.allclose(got, 0.003 - 2e-6 * at, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spline_fit_rejects_non_finite_values(bad):
+    s = np.linspace(0.0, 560.0, 9)
+    values = np.full(9, 0.01)
+    values[4] = bad
+    with pytest.raises(ValueError):
+        _spline_fit(s, values, s, s)
 
 
 # -------------------------------------------------------------- sign changes
