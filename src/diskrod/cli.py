@@ -19,9 +19,8 @@ from . import __version__
 from .clustering import centers_to_curve, dbscan
 from .curves import THRESHOLD_REL, torsion_sign_changes
 from .errors import ClusterCountMismatch, DiskrodError, SolverNotConverged
-from .fileio import (actuation_to_dict, config_hash, config_to_dict,
-                     dumps_canonical, read_config_json, read_curve_csv,
-                     read_raw_points_csv, write_curve_csv, write_json,
+from .fileio import (actuation_to_dict, config_hash, config_to_dict, read_config_json,
+                     read_curve_csv, read_raw_points_csv, write_curve_csv, write_json,
                      write_profile_csv)
 from .matching import analysis_profile, match_shape
 from .model import ActuationState, ManipulatorConfig, solve_equilibrium

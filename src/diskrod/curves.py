@@ -16,7 +16,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import DegenerateSegment, TooFewPoints, TooFewValidSamples
 
@@ -217,6 +216,34 @@ def smooth_profile(profile: CTProfile) -> CTProfile:
     return CTProfile(s=grid, kappa=kappa, tau=tau_g, kappa_valid=in_range)
 
 
+def _solve_pentadiagonal(bands, rhs) -> np.ndarray:
+    """Solve ``A x = rhs`` by the LDL^T factorisation of a symmetric positive
+    definite pentadiagonal A, in Python floats.  ``bands`` holds A's upper
+    bands: the second superdiagonal from column 2, the first from column 1,
+    then the diagonal, with the unused leading entries zero.  A NaN or inf
+    ``rhs`` raises ValueError.
+    """
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("right-hand side must be finite")
+    # row k: m1 = L[k, k-1], m2 = L[k, k-2], d1 = D[k], z1 = (L^-1 rhs)[k];
+    # the rows before the first read as d = 1, L = 0
+    rows, d1, d2, m1, z1, z2 = [], 1.0, 1.0, 0.0, 0.0, 0.0
+    for a2, a1, a0, b in zip(*bands.tolist(), rhs.tolist()):
+        m2 = a2 / d2
+        m1 = (a1 - m2 * m1 * d2) / d1
+        d2, d1 = d1, a0 - m1 * m1 * d1 - m2 * m2 * d2
+        z2, z1 = z1, b - m1 * z1 - m2 * z2
+        rows.append((z1 / d1, m1, m2))
+    # back substitution: x1, x2 = x[k+1], x[k+2]; n1 = L[k+1, k], n2 = L[k+2, k]
+    x = []
+    x1 = x2 = n1 = n2 = next_m2 = 0.0
+    for y, m1, m2 in reversed(rows):
+        x2, x1 = x1, y - n1 * x1 - n2 * x2
+        x.append(x1)
+        n1, n2, next_m2 = m1, next_m2, m2
+    return np.array(x[::-1])
+
+
 def _spline_fit(s, values, at, arc) -> np.ndarray:
     """Smoothing spline through ``(s, values)``, evaluated at ``at``.
 
@@ -241,7 +268,7 @@ def _spline_fit(s, values, at, arc) -> np.ndarray:
     bands[2] = (h[:-1] + h[1:]) / 3.0 + SPLINE_LAM * (q_lo**2 + q_mid**2 + q_hi**2)
     slopes = np.diff(values) * inv_h
     gamma = np.zeros(len(x))  # natural spline: g'' = 0 at both ends
-    gamma[1:-1] = solveh_banded(bands, np.diff(slopes))
+    gamma[1:-1] = _solve_pentadiagonal(bands, np.diff(slopes))
     g = values - SPLINE_LAM * np.diff(np.diff(gamma) * inv_h, prepend=0.0, append=0.0)
 
     i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)

@@ -16,16 +16,9 @@ from __future__ import annotations
 
 import numbers
 import threading
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import line_search
-# Like scipy's own BFGS, try the MINPACK (Wolfe-1) search first and fall back to
-# the public ``line_search`` (Wolfe-2): the public search alone made 4795 kernel
-# calls against 4106 on six seed-1 bench match chains.  Neither Wolfe-1 nor the
-# warning the fallback raises when it gives up has a public name.
-from scipy.optimize._linesearch import LineSearchWarning, line_search_wolfe1
 
 from .curves import Curve3D
 from .errors import DimensionMismatch, NonFiniteEnergy, SolverNotConverged
@@ -36,6 +29,8 @@ TENDON_MAX_MM = 140.0
 DISK_ANGLE_MAX_DEG = 90.0
 GRAD_TOL_MJ_PER_RAD = 1e-4
 MAX_ITERATIONS = 5000
+WOLFE_C1, WOLFE_C2 = 1e-4, 0.9  # strong-Wolfe constants of the BFGS line search
+LINE_SEARCH_TRIALS = 30         # energy evaluations one line search may spend
 # gravitational energy in mJ = mass[g] * g[m/s^2] * height[mm] * 1e-3
 _GRAV_MJ = 1e-3
 
@@ -372,50 +367,77 @@ def _make_shape(positions, frames, config: ManipulatorConfig) -> Shape:
                  dense_curve=Curve3D(positions))
 
 
+def _line_search(evaluate, x, d, f0, g0, alpha):
+    """Step length along ``d`` from ``x`` that meets the strong Wolfe
+    conditions, as ``(alpha, f, g)`` at ``x + alpha d``; None when ``d`` is no
+    descent direction or LINE_SEARCH_TRIALS evaluations find no such step.
+
+    Nocedal & Wright, Numerical Optimization, Alg. 3.5: the first trial is
+    ``alpha``, which doubles while the energy still falls steeply.  Once a
+    trial brackets a step, the zoom of Alg. 3.6 tries the minimiser of the
+    quadratic through the low end's energy and slope and the high end's
+    energy, and bisects when that lies within a tenth of the bracket of
+    either end.
+    """
+    slope0 = g0 @ d
+    if not slope0 < 0.0:
+        return None
+    lo, hi = (0.0, f0, slope0), None  # (step, energy, slope); lo has sufficient decrease
+    for _ in range(LINE_SEARCH_TRIALS):
+        if hi is not None:
+            width = hi[0] - lo[0]
+            curve = hi[1] - lo[1] - lo[2] * width
+            t = -0.5 * lo[2] * width / curve if curve > 0.0 else 0.5
+            alpha = lo[0] + (t if 0.1 <= t <= 0.9 else 0.5) * width
+        f, g = evaluate(x + alpha * d)
+        slope = g @ d
+        if f > f0 + WOLFE_C1 * alpha * slope0 or f >= lo[1]:
+            hi = (alpha, f, slope)
+        elif abs(slope) <= -WOLFE_C2 * slope0:
+            return alpha, f, g
+        elif hi is None and slope < 0.0:
+            lo, alpha = (alpha, f, slope), 2.0 * alpha
+        else:
+            if hi is None or slope * (hi[0] - lo[0]) >= 0.0:
+                hi = lo
+            lo = (alpha, f, slope)
+    return None
+
+
 def _bfgs(evaluate, x: np.ndarray, h_start: np.ndarray) -> tuple[int, np.ndarray]:
     """BFGS on ``evaluate(x) -> (energy, gradient)`` from ``x`` and the inverse
     Hessian ``h_start``, which is left unmodified.
 
-    Each iteration steps along ``-H g`` with a Wolfe line search (MINPACK's,
-    then the More-Thuente ``scipy.optimize.line_search`` when that finds no
-    step) and updates ``H`` by the rank-two BFGS formula in O(n^2), which
-    keeps a symmetric ``H`` exactly symmetric.  Stops at a gradient infinity
-    norm of 0.3 * GRAD_TOL_MJ_PER_RAD, after MAX_ITERATIONS or when no line
-    search finds a step.  Returns the iteration count and the last ``H``.
+    Each iteration steps along ``-H g`` with the strong-Wolfe ``_line_search``,
+    whose first trial ``min(1, 2.02 (f - f_prev) / slope)`` would repeat the
+    last decrease, and updates ``H`` by the rank-two BFGS formula in O(n^2),
+    which keeps a symmetric ``H`` exactly symmetric.  Stops at a gradient
+    infinity norm of 0.3 * GRAD_TOL_MJ_PER_RAD, after MAX_ITERATIONS or when
+    no step is found.  Returns the iteration count and the last ``H``.
     """
-    def energy(p):
-        return evaluate(p)[0]
-
-    def gradient(p):
-        return evaluate(p)[1]
-
     h_inv = h_start.copy()
     gtol = 0.3 * GRAD_TOL_MJ_PER_RAD
     f, g = evaluate(x)
-    f_before = f + np.linalg.norm(g) / 2  # the first step guess moves about 1 rad
+    f_prev = f + np.linalg.norm(g) / 2  # the first step guess moves about 1 rad
     iterations = 0
     while np.abs(g).max() > gtol and iterations < MAX_ITERATIONS:
         direction = -(h_inv @ g)
-        alpha, _, _, f, f_before, g_new = line_search_wolfe1(
-            energy, gradient, x, direction, g, f, f_before, amin=1e-100, amax=1e100)
-        if alpha is None:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LineSearchWarning)
-                alpha, _, _, f, f_before, g_new = line_search(
-                    energy, gradient, x, direction, g, f, f_before, amax=1e100)
-            if alpha is None:
-                break
+        slope = g @ direction
+        alpha = min(1.0, 2.02 * (f - f_prev) / slope) if slope < 0.0 and f < f_prev else 1.0
+        step = _line_search(evaluate, x, direction, f, g, alpha)
+        if step is None:
+            break
+        alpha, f_new, g_new = step
+        f_prev, f = f, f_new
         s = alpha * direction
         x = x + s
-        if g_new is None:
-            g_new = gradient(x)
         y = g_new - g
         g = g_new
         iterations += 1
         if np.abs(g).max() <= gtol or not s.any():  # a zero step cannot move again
             break
         # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T, expanded to rank two;
-        # rho = 1000 for y.s = 0 is scipy's guard
+        # rho = 1000 guards y.s = 0
         ys = y @ s
         rho = 1000.0 if ys == 0.0 else 1.0 / ys
         hy = h_inv @ y
@@ -463,21 +485,17 @@ def solve_equilibrium(config: ManipulatorConfig, actuation: ActuationState,
     # minimizer the line search can reject an already stationary trial point.
     evaluations = 0
     best = None  # (gradient inf norm, point, energy, tendon path)
-    last = None  # (point, energy, gradient): the line searches ask for f and g apart
 
     def evaluate(p):
-        nonlocal evaluations, best, last
-        if last is None or not np.array_equal(p, last[0]):
-            evaluations += 1
-            e, g, path = _energy_and_gradient(p, rod)
-            if not np.isfinite(e):
-                raise NonFiniteEnergy(f"energy {e} after {evaluations} evaluations")
-            point = p.copy()
-            g_norm = float(np.abs(g).max())
-            if best is None or g_norm < best[0]:
-                best = (g_norm, point, e, path)
-            last = (point, e, g)
-        return last[1], last[2]
+        nonlocal evaluations, best
+        evaluations += 1
+        e, g, path = _energy_and_gradient(p, rod)
+        if not np.isfinite(e):
+            raise NonFiniteEnergy(f"energy {e} after {evaluations} evaluations")
+        g_norm = float(np.abs(g).max())
+        if best is None or g_norm < best[0]:
+            best = (g_norm, p, e, path)
+        return e, g
 
     iterations, hess_inv = _bfgs(evaluate, x, h_start)
     gradient_inf_norm, x, energy, path = best

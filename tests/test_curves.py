@@ -6,8 +6,8 @@ from scipy.interpolate import CubicSpline, make_smoothing_spline
 from scipy.spatial.transform import Rotation
 
 from diskrod.curves import (EPS_CROSS, GRID_POINTS, SPLINE_LAM, CrossingDirection, CTProfile,
-                            Curve3D, _spline_fit, ct_profile, fd_weights, smooth_profile,
-                            torsion_sign_changes)
+                            Curve3D, _solve_pentadiagonal, _spline_fit, ct_profile, fd_weights,
+                            smooth_profile, torsion_sign_changes)
 from diskrod.errors import DegenerateSegment, TooFewPoints, TooFewValidSamples
 
 DISKS_70 = np.arange(9) * 70.0
@@ -345,7 +345,7 @@ def test_spline_fit_matches_scipy_smoothing_spline(n):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("n", [4, 5, 9])
+@pytest.mark.parametrize("n", [3, 4, 5, 9, 50])
 def test_spline_fit_matches_dense_penalised_solve(n):
     s = np.sort(np.random.default_rng(n).uniform(0.0, 560.0, n))
     values = profile_values(s, seed=n + 1)
@@ -358,7 +358,12 @@ def test_spline_fit_matches_dense_penalised_solve(n):
         r[j, j] = (h[j] + h[j + 1]) / 3
         if j + 1 < n - 2:
             r[j, j + 1] = r[j + 1, j] = h[j + 1] / 6
-    gamma = np.linalg.solve(r + SPLINE_LAM * q.T @ q, q.T @ values)
+    system, rhs = r + SPLINE_LAM * q.T @ q, q.T @ values
+    gamma = np.linalg.solve(system, rhs)
+    # the banded solve alone, on 1, 2, 3, 7 and 48 unknowns
+    bands = np.zeros((3, n - 2))
+    bands[0, 2:], bands[1, 1:], bands[2] = np.diag(system, 2), np.diag(system, 1), np.diag(system)
+    assert np.abs(_solve_pentadiagonal(bands, rhs) - gamma).max() <= 1e-12 * np.abs(gamma).max()
     knots = values - SPLINE_LAM * q @ gamma
     # the natural cubic through the fitted knot values has g'' = gamma inside
     at = np.linspace(s[0], s[-1], GRID_POINTS)

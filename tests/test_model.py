@@ -13,7 +13,7 @@ from diskrod.errors import DimensionMismatch, NonFiniteEnergy, SolverNotConverge
 from diskrod.model import (ActuationState, ManipulatorConfig, WarmStartCache,
                            forward, slack_path_length, solve_equilibrium,
                            total_energy)
-from diskrod.model import _energy_and_gradient, _rod
+from diskrod.model import _energy_and_gradient, _line_search, _rod
 from diskrod.rotations import SMALL_ANGLE
 from conftest import actuation
 
@@ -453,7 +453,7 @@ _STEP4_CHAIN = [actuation(_STEP4_TENDON_MM, d5=76.0), actuation(_STEP4_TENDON_MM
 def test_warm_chain_converges_below_the_energy_noise_floor(config, chain):
     cache = WarmStartCache()
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no LineSearchWarning escapes a solve
+        warnings.simplefilter("error")  # a solve along the chain warns of nothing
         for act in chain:
             _, start = cache.last_start()
             kept = None if start is None else start.copy()
@@ -477,7 +477,7 @@ def test_cache_carries_a_symmetric_positive_definite_hess_inv(config):
     dof, hess_inv = cache.last_start()
     assert np.array_equal(dof, cache.lookup(chain[-1]).dof)
     assert hess_inv.shape == (3 * config.n_elements,) * 2
-    assert np.array_equal(hess_inv, hess_inv.T)  # scipy checks symmetry exactly
+    assert np.array_equal(hess_inv, hess_inv.T)  # exactly, not to rounding
     np.linalg.cholesky(hess_inv)
     assert all(cache.lookup(act).hess_inv is None for act in chain)
 
@@ -518,6 +518,75 @@ def test_report_counts_every_kernel_call(config, monkeypatch):
     first = solve_equilibrium(config, act)
     assert first.evaluations == len(calls) > first.iterations
     assert solve_equilibrium(config, act).evaluations == first.evaluations
+
+
+# ------------------------------------------------ strong-Wolfe line search
+
+def _counted_quadratic(a, b):
+    """``0.5 x^T A x - b^T x`` with its gradient; records each point asked for."""
+    points = []
+
+    def evaluate(x):
+        points.append(x.copy())
+        return 0.5 * x @ a @ x - b @ x, a @ x - b
+    return evaluate, points
+
+
+def _assert_strong_wolfe(evaluate, x, d, step):
+    f0, g0 = evaluate(x)
+    alpha, f, g = step
+    f_at, g_at = evaluate(x + alpha * d)
+    assert f == f_at and np.array_equal(g, g_at)
+    assert alpha > 0.0
+    assert f <= f0 + model.WOLFE_C1 * alpha * (g0 @ d)
+    assert abs(g @ d) <= model.WOLFE_C2 * abs(g0 @ d)
+
+
+def _counted_quartic():
+    """``sum(x^4 / 4 - x)``, minimal at 1, which a quadratic model overshoots."""
+    points = []
+
+    def evaluate(x):
+        points.append(x.copy())
+        return float(np.sum(x**4 / 4 - x)), x**3 - 1
+    return evaluate, points
+
+
+@pytest.mark.parametrize("problem, start, alpha", [
+    # the exact minimiser along d is at 0.021, so alpha = 1 overshoots
+    (lambda: _counted_quadratic(np.diag([10.0, 50.0]), np.zeros(2)), [1.0, 1.0], 1.0),
+    # a zoom trial lands beyond the minimiser, so the bracket turns round
+    (_counted_quartic, [0.0], 3.0),
+], ids=["quadratic", "quartic"])
+def test_line_search_zooms_back_from_an_overshooting_first_trial(problem, start, alpha):
+    evaluate, points = problem()
+    x = np.array(start)
+    f0, g0 = evaluate(x)
+    d = -g0
+    step = _line_search(evaluate, x, d, f0, g0, alpha)
+    assert step is not None and step[0] < alpha
+    assert len(points) > 2  # x, the rejected first trial, then the zoom's trials
+    _assert_strong_wolfe(evaluate, x, d, step)
+
+
+def test_line_search_doubles_a_short_first_trial():
+    evaluate, points = _counted_quadratic(np.eye(1), np.array([100.0]))
+    x = np.zeros(1)
+    f0, g0 = evaluate(x)
+    d = np.ones(1)
+    # the slope along d is alpha - 100: it first drops below 0.9 * 100 at 16
+    step = _line_search(evaluate, x, d, f0, g0, 1.0)
+    assert step is not None and step[0] == 16.0
+    assert [p[0] for p in points[1:]] == [1.0, 2.0, 4.0, 8.0, 16.0]
+    _assert_strong_wolfe(evaluate, x, d, step)
+
+
+def test_line_search_refuses_an_ascent_direction():
+    evaluate, points = _counted_quadratic(np.eye(2), np.zeros(2))
+    x = np.array([1.0, -2.0])
+    f0, g0 = evaluate(x)
+    assert _line_search(evaluate, x, g0, f0, g0, 1.0) is None
+    assert len(points) == 1
 
 
 # ----------------------------------------------- gradient property tests

@@ -12,13 +12,13 @@ def test_every_export_resolves_once():
     assert [n for n in names if not hasattr(diskrod, n)] == []
 
 
-def test_import_leaves_out_scipy_interpolate_and_spatial():
+def test_import_loads_no_scipy_module():
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, diskrod; print('scipy.interpolate' in sys.modules)"],
+         "import sys, diskrod; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
-    # scipy.optimize loads scipy.spatial itself, so that one is checked at the source
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+    # and no import in the package names scipy, however deeply or lazily
     imported = set()
     for path in Path(diskrod.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -26,6 +26,4 @@ def test_import_leaves_out_scipy_interpolate_and_spatial():
                 imported.update(alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported.add(node.module)
-                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
-    assert not {name for name in imported
-                if name.startswith(("scipy.interpolate", "scipy.spatial"))}
+    assert not {name for name in imported if name.split(".")[0] == "scipy"}
