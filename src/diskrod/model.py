@@ -14,6 +14,7 @@ spaced one segment apart, disk ``n_disks`` is the tip.
 
 from __future__ import annotations
 
+import math
 import numbers
 import threading
 from dataclasses import dataclass, replace
@@ -31,6 +32,7 @@ GRAD_TOL_MJ_PER_RAD = 1e-4
 MAX_ITERATIONS = 5000
 WOLFE_C1, WOLFE_C2 = 1e-4, 0.9  # strong-Wolfe constants of the BFGS line search
 LINE_SEARCH_TRIALS = 30         # energy evaluations one line search may spend
+NOISE_FLOOR_ULPS = 64           # spacings of |f0| within which a predicted decrease is rounding
 # gravitational energy in mJ = mass[g] * g[m/s^2] * height[mm] * 1e-3
 _GRAV_MJ = 1e-3
 
@@ -370,7 +372,10 @@ def _make_shape(positions, frames, config: ManipulatorConfig) -> Shape:
 def _line_search(evaluate, x, d, f0, g0, alpha):
     """Step length along ``d`` from ``x`` that meets the strong Wolfe
     conditions, as ``(alpha, f, g)`` at ``x + alpha d``; None when ``d`` is no
-    descent direction or LINE_SEARCH_TRIALS evaluations find no such step.
+    descent direction, when a rejected trial's predicted decrease
+    ``alpha |g0 . d|`` is within NOISE_FLOOR_ULPS spacings of ``f0`` (the
+    energy cannot tell it from rounding), or when LINE_SEARCH_TRIALS
+    evaluations find no such step.
 
     Nocedal & Wright, Numerical Optimization, Alg. 3.5: the first trial is
     ``alpha``, which doubles while the energy still falls steeply.  Once a
@@ -392,6 +397,8 @@ def _line_search(evaluate, x, d, f0, g0, alpha):
         f, g = evaluate(x + alpha * d)
         slope = g @ d
         if f > f0 + WOLFE_C1 * alpha * slope0 or f >= lo[1]:
+            if -alpha * slope0 <= NOISE_FLOOR_ULPS * np.spacing(abs(f0)):
+                return None
             hi = (alpha, f, slope)
         elif abs(slope) <= -WOLFE_C2 * slope0:
             return alpha, f, g
@@ -516,8 +523,8 @@ def solve_equilibrium(config: ManipulatorConfig, actuation: ActuationState,
 
 class WarmStartCache:
     """Thread-safe memo of solved actuations plus the most recent report,
-    whose minimizer and ``hess_inv`` start the next solve.  Only that last
-    slot keeps ``hess_inv`` (3n x 3n); the memoised reports drop it."""
+    whose ``hess_inv`` starts the next solve.  Only that last slot keeps
+    ``hess_inv`` (3n x 3n); the memoised reports drop it."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -526,17 +533,44 @@ class WarmStartCache:
 
     @staticmethod
     def _key(actuation: ActuationState) -> tuple:
-        return (actuation.tendon_mm, actuation.disk_angles_deg)
+        return (actuation.tendon_mm, *actuation.disk_angles_deg)
 
     def lookup(self, actuation: ActuationState) -> EquilibriumReport | None:
         with self._lock:
             return self._reports.get(self._key(actuation))
 
-    def last_start(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Minimizer (strains) and ``hess_inv`` of the most recent solve."""
+    def start_for(self, actuation: ActuationState) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Start strains and ``hess_inv`` for a solve of ``actuation``.
+
+        A coordinate search probes one-parameter paths of equilibria, so the
+        memoised actuations that differ from ``actuation`` in one coordinate
+        only (the tendon or one disk angle) are its neighbours on a path.  On
+        the coordinate most of them vary, the Lagrange quadratic through the
+        minimizers of the three nearest (the line through two) predicts the
+        strains at ``actuation``'s value: the predictor step of Allgower &
+        Georg, Numerical Continuation Methods, ch. 2, which BFGS corrects.
+        With fewer than two neighbours on it the start is the most recent
+        minimizer.  ``hess_inv`` is always the most recent report's.
+        """
+        key = self._key(actuation)
         with self._lock:
             last = self._last
-        return (None, None) if last is None else (last.dof, last.hess_inv)
+            solved = list(self._reports.items())
+        if last is None:
+            return None, None
+        paths: dict[int, list[tuple[float, np.ndarray]]] = {}
+        for other, report in solved:
+            moved = [i for i, (a, b) in enumerate(zip(other, key)) if a != b]
+            if len(moved) == 1:
+                paths.setdefault(moved[0], []).append((other[moved[0]], report.dof))
+        axis = max(paths, key=lambda i: len(paths[i]), default=None)
+        if axis is None or len(paths[axis]) < 2:
+            return last.dof, last.hess_inv
+        x = key[axis]
+        near = sorted(paths[axis], key=lambda node: abs(node[0] - x))[:3]
+        start = sum(math.prod((x - xj) / (xi - xj) for xj, _ in near if xj != xi) * dof
+                    for xi, dof in near)
+        return start, last.hess_inv
 
     def store(self, actuation: ActuationState, report: EquilibriumReport) -> None:
         with self._lock:
@@ -551,7 +585,7 @@ def forward(config: ManipulatorConfig, actuation: ActuationState,
     hit = cache.lookup(actuation)
     if hit is not None:
         return hit.shape
-    warm, hess_inv = cache.last_start()
+    warm, hess_inv = cache.start_for(actuation)
     report = solve_equilibrium(config, actuation, warm_start=warm, warm_hess_inv=hess_inv)
     if not report.converged:
         raise SolverNotConverged(

@@ -455,16 +455,19 @@ def test_warm_chain_converges_below_the_energy_noise_floor(config, chain):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a solve along the chain warns of nothing
         for act in chain:
-            _, start = cache.last_start()
+            dof, start = cache.start_for(act)
             kept = None if start is None else start.copy()
             forward(config, act, cache)  # raises SolverNotConverged on a stall
             warm = cache.lookup(act)
             assert warm.gradient_inf_norm <= model.GRAD_TOL_MJ_PER_RAD
+            # forward solved from the start it was given, predicted or not
+            direct = solve_equilibrium(config, act, warm_start=dof, warm_hess_inv=start)
+            assert np.array_equal(warm.dof, direct.dof)
             assert abs(warm.energy_mj - solve_equilibrium(config, act).energy_mj) <= 1e-9
             # the solve left the matrix it started from as it was, and carries
             # on an exactly symmetric, positive definite one
             assert kept is None or np.array_equal(start, kept)
-            _, carried = cache.last_start()
+            _, carried = cache.start_for(act)
             assert np.array_equal(carried, carried.T)
             np.linalg.cholesky(carried)
 
@@ -474,7 +477,8 @@ def test_cache_carries_a_symmetric_positive_definite_hess_inv(config):
     chain = [actuation(100.0, d5=-70.0), actuation(100.0, d5=-75.0), actuation(103.0, d5=-75.0)]
     for act in chain:
         forward(config, act, cache)
-    dof, hess_inv = cache.last_start()
+    # chain[-1]'s one memoised neighbour is no path, so the start is the last minimizer
+    dof, hess_inv = cache.start_for(chain[-1])
     assert np.array_equal(dof, cache.lookup(chain[-1]).dof)
     assert hess_inv.shape == (3 * config.n_elements,) * 2
     assert np.array_equal(hess_inv, hess_inv.T)  # exactly, not to rounding
@@ -495,14 +499,89 @@ def test_cold_solve_starts_from_the_elastic_diagonal_and_warm_from_the_cache(con
 
     cache = WarmStartCache()
     forward(config, act, cache)
-    dof, hess_inv = cache.last_start()
     nxt = actuation(100.0, d5=-72.0)
+    dof, hess_inv = cache.start_for(nxt)
     forward(config, nxt, cache)
     warm = cache.lookup(nxt)
     direct = solve_equilibrium(config, nxt, warm_start=dof, warm_hess_inv=hess_inv)
     assert np.array_equal(warm.dof, direct.dof)
     assert warm.evaluations == direct.evaluations
-    assert np.array_equal(cache.last_start()[1], direct.hess_inv)
+    assert np.array_equal(cache.start_for(nxt)[1], direct.hess_inv)
+
+
+def test_predicted_starts_take_fewer_kernel_calls_than_the_last_minimizer(config):
+    cache = WarmStartCache()
+    predicted = 0
+    for act in _STEP2_CHAIN:
+        forward(config, act, cache)
+        predicted += cache.lookup(act).evaluations
+    last, from_last = None, 0
+    for act in _STEP2_CHAIN:
+        last = solve_equilibrium(config, act, warm_start=None if last is None else last.dof,
+                                 warm_hess_inv=None if last is None else last.hess_inv)
+        assert last.converged
+        from_last += last.evaluations
+    assert predicted < from_last
+
+
+# ------------------------------------------------- predicted warm starts
+
+def _stored(dof, hess_inv=None):
+    """A report carrying only what ``WarmStartCache.start_for`` reads."""
+    return model.EquilibriumReport(shape=None, energy_mj=0.0, gradient_inf_norm=0.0,
+                                   iterations=0, evaluations=0, converged=True,
+                                   tendon_path_length_mm=0.0, dof=np.asarray(dof, dtype=float),
+                                   hess_inv=hess_inv)
+
+
+def test_start_for_an_empty_cache_is_cold():
+    assert WarmStartCache().start_for(actuation(50.0)) == (None, None)
+
+
+def test_start_for_one_neighbour_is_the_last_minimizer():
+    cache = WarmStartCache()
+    hess_inv = np.eye(2)
+    cache.store(actuation(10.0, d5=30.0), _stored([1.0, 2.0]))
+    last = _stored([5.0, 7.0], hess_inv)
+    cache.store(actuation(90.0, d2=-10.0), last)  # differs from the query in two coordinates
+    dof, carried = cache.start_for(actuation(20.0, d5=30.0))
+    assert dof is last.dof and carried is hess_inv
+
+
+def test_start_for_two_neighbours_is_the_line_through_them():
+    cache = WarmStartCache()
+    cache.store(actuation(40.0, d4=10.0), _stored([1.0, -3.0]))
+    cache.store(actuation(40.0, d4=30.0), _stored([2.0, 1.0]))
+    for deg, expected in ((20.0, [1.5, -1.0]), (50.0, [3.0, 5.0]), (0.0, [0.5, -5.0])):
+        dof, _ = cache.start_for(actuation(40.0, d4=deg))
+        np.testing.assert_allclose(dof, expected, rtol=0.0, atol=1e-14)
+
+
+def test_start_for_three_nearest_neighbours_reproduce_a_quadratic_path():
+    rng = np.random.default_rng(3)
+    a, b, c = rng.normal(size=(3, 32, 3))
+
+    def path(t):
+        return a + b * t + c * t * t
+
+    cache = WarmStartCache()
+    for t in (60.0, 75.0, 90.0):
+        cache.store(actuation(t, d6=-50.0), _stored(path(t)))
+    cache.store(actuation(10.0, d6=-50.0), _stored(path(10.0) + 1.0))  # farthest: unused
+    # two neighbours on disk 6 lose to the three on the tendon
+    cache.store(actuation(80.0, d6=-40.0), _stored(np.zeros((32, 3))))
+    cache.store(actuation(80.0, d6=-30.0), _stored(np.ones((32, 3))))
+    for t in (80.0, 66.0, 100.0):
+        dof, _ = cache.start_for(actuation(t, d6=-50.0))
+        assert np.abs(dof - path(t)).max() <= 1e-13 * np.abs(path(t)).max()
+
+
+def test_start_for_ignores_neighbours_that_differ_in_two_coordinates():
+    cache = WarmStartCache()
+    for t, deg in ((10.0, 20.0), (20.0, 30.0), (30.0, 40.0)):
+        cache.store(actuation(t, d3=deg), _stored([t, deg]))
+    dof, _ = cache.start_for(actuation(40.0, d3=50.0))
+    assert np.array_equal(dof, [30.0, 40.0])  # the last minimizer, not an extrapolation
 
 
 def test_report_counts_every_kernel_call(config, monkeypatch):
@@ -586,6 +665,21 @@ def test_line_search_refuses_an_ascent_direction():
     x = np.array([1.0, -2.0])
     f0, g0 = evaluate(x)
     assert _line_search(evaluate, x, g0, f0, g0, 1.0) is None
+    assert len(points) == 1
+
+
+def test_line_search_stops_at_the_energy_noise_floor():
+    # the predicted decrease, 1e-12 mJ, is below the energy's rounding at 700 mJ,
+    # so a trial that reads one rounding step higher ends the search at once
+    f0 = 700.0
+    points = []
+
+    def evaluate(x):
+        points.append(x.copy())
+        return (f0 if not x.any() else f0 + np.spacing(f0)), np.array([-1e-12])
+
+    x = np.zeros(1)
+    assert _line_search(evaluate, x, np.ones(1), f0, np.array([-1e-12]), 1.0) is None
     assert len(points) == 1
 
 
