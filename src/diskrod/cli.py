@@ -114,6 +114,7 @@ def cmd_simulate(args) -> int:
         "energy_mj": report.energy_mj,
         "gradient_inf_norm_mj_per_rad": report.gradient_inf_norm,
         "iterations": report.iterations,
+        "start": report.start,
         "converged": report.converged,
         "tendon_path_length_mm": report.tendon_path_length_mm,
         "actuation": actuation_to_dict(actuation),

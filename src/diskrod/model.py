@@ -177,17 +177,28 @@ class EquilibriumReport:
     # BFGS inverse Hessian (rad^2/mJ) at the solve's last update; the rank-two
     # update keeps it exactly symmetric, so it can start the next solve as is
     hess_inv: np.ndarray | None = None
+    # how the solve began: "cold" from the straight rod, "last" from given
+    # strains (``forward``: the cache's last minimizer) and "predicted" from
+    # given strains with a carried ``hess_inv`` (``forward``: a path prediction)
+    start: str = "cold"
 
 
 def _propagate(psi: np.ndarray, length: float):
     """Node positions, node frames and the rotation coefficients of the
     per-element rotation vectors ``psi`` (n_elements, 3), elements ``length`` mm."""
     coeffs = coefficients(psi)
-    rotations = exp_so3(psi, coeffs)
     frames = np.empty((len(psi) + 1, 3, 3))
     frames[0] = np.eye(3)
-    for k, rot in enumerate(rotations):
-        np.matmul(frames[k], rot, out=frames[k + 1])
+    # frame k + 1 is the prefix product R_0 ... R_k of the element rotations,
+    # by a doubling scan (Hillis & Steele): after the pass with shift s each
+    # entry holds the product of the up to 2s rotations ending at it, so
+    # ceil(log2 n) batched matmuls do what n sequential ones would
+    prefix = frames[1:]
+    prefix[...] = exp_so3(psi, coeffs)
+    shift = 1
+    while shift < len(psi):
+        prefix[shift:] = prefix[:-shift] @ prefix[shift:]
+        shift *= 2
     steps = length * left_jacobian_tangent(psi, coeffs)
     positions = np.zeros((len(psi) + 1, 3))
     np.cumsum(np.einsum("kij,kj->ki", frames[:-1], steps), axis=0, out=positions[1:])
@@ -244,6 +255,7 @@ class _Rod:
     masses: np.ndarray         # lumped node masses, g
     gravity_force: np.ndarray  # gravity's dE/dq at the nodes, (n_nodes, 3)
     rows: np.ndarray           # node indices of the base plate and disks 1..n
+    per_segment: int           # elements per segment: disk i sits at node (i - 1) * per_segment
     local_holes: np.ndarray    # ``_local_holes`` of the actuation's disk angles
     l_ref: float               # tendon rest length, mm
     k_t: float                 # tendon stiffness, N/mm
@@ -262,6 +274,7 @@ def _rod(config: ManipulatorConfig, theta_rad: np.ndarray, l_ref: float) -> _Rod
         masses=masses,
         gravity_force=np.outer(masses, -_GRAV_MJ * gravity),
         rows=_disk_row_indices(config),
+        per_segment=config.elements_per_segment,
         local_holes=_local_holes(theta_rad, config.tendon_hole_radius_mm),
         l_ref=l_ref,
         k_t=config.tendon_stiffness_n_per_mm,
@@ -307,24 +320,23 @@ def _energy_and_gradient(psi_flat: np.ndarray, rod: _Rod, want_grad: bool = True
     if not want_grad:
         return energy, None, path
 
-    # point forces dE/dq at nodes (gravity) and holes (tendon)
+    # point forces dE/dq at nodes: gravity, and the taut tendon at the disk
+    # holes, each pulled back along the edge before it and on along the one
+    # after it (the base anchor's reaction does not enter)
     node_force = rod.gravity_force.copy()  # (n_nodes, 3)
-    hole_force = np.zeros_like(holes)
+    node_torque = np.zeros_like(node_force)
     if taut:
-        tension = rod.k_t * stretch
-        unit = np.zeros_like(edges)
-        ok = edge_len > 1e-12
-        unit[ok] = edges[ok] / edge_len[ok, None]
-        hole_force[:-1] -= tension * unit
-        hole_force[1:] += tension * unit
+        unit = np.divide(edges, edge_len[:, None], out=np.zeros_like(edges),
+                         where=edge_len[:, None] > 1e-12)
+        hole_force = (rod.k_t * stretch) * unit
+        hole_force[:-1] -= hole_force[1:]
+        disks = slice(0, None, rod.per_segment)  # disk nodes 0, e, 2e, ...
+        node_force[disks] += hole_force
+        node_torque[disks] = cross(radials, hole_force)
 
     # backward sweep: force/torque resultants over nodes >= j, as reversed
     # running sums; the torque about node j steps by (p[j+1] - p[j]) x S[j+1]
-    disk_nodes = rod.rows[1:]
-    node_force[disk_nodes] += hole_force[1:]
     s_force = np.cumsum(node_force[::-1], axis=0)[::-1]
-    node_torque = np.zeros_like(node_force)
-    node_torque[disk_nodes] = cross(radials, hole_force[1:])
     node_torque[:-1] += cross(positions[1:] - positions[:-1], s_force[1:])
     s_torque = np.cumsum(node_torque[::-1], axis=0)[::-1]
 
@@ -352,6 +364,39 @@ def total_energy(dof, config: ManipulatorConfig, actuation: ActuationState) -> f
     energy, _, _ = _energy_and_gradient(psi.reshape(-1), _actuated_rod(config, actuation),
                                         want_grad=False)
     return energy
+
+
+def _tendon_path_gradient(psi_flat: np.ndarray, rod: _Rod):
+    """Tendon path length (mm) at ``psi_flat`` and its gradient J with respect
+    to the rotation vectors, from one kernel call on ``rod`` without gravity
+    or elastic term and with a unit-stiffness tendon of zero rest length: that
+    tendon is taut at any shape, and its gradient is its tension, the path
+    length, times J."""
+    probe = replace(rod, stiff=np.zeros(3), gravity=np.zeros(3),
+                    gravity_force=np.zeros_like(rod.gravity_force), l_ref=0.0, k_t=1.0)
+    _, grad, path = _energy_and_gradient(psi_flat, probe)
+    return path, grad / path
+
+
+def _start_hess_inv(psi_flat: np.ndarray, rod: _Rod) -> np.ndarray:
+    """Inverse Hessian that a solve from ``psi_flat`` starts BFGS with when it
+    carries none: ``(D^-1 + k J J^T)^-1``, by Sherman-Morrison
+    ``D - k (DJ)(DJ)^T / (1 + k J^T D J)``.
+
+    D is the inverse elastic diagonal, ``L / [EI, EI, GJ]`` per element, and
+    ``k J J^T`` the Gauss-Newton term of the tendon energy
+    ``k_t (path - l_ref)^2 / 2`` (Nocedal & Wright, Numerical Optimization,
+    sec. 10.3): k is ``k_t`` while the tendon is taut at ``psi_flat`` and 0
+    otherwise, which leaves D exactly.  Costs one kernel call
+    (``_tendon_path_gradient``).
+    """
+    path, jac = _tendon_path_gradient(psi_flat, rod)
+    diag = np.tile(rod.length / rod.stiff, rod.n_el)
+    k = rod.k_t if path > rod.l_ref else 0.0
+    dj = diag * jac
+    h_start = np.diag(diag)
+    h_start -= (k / (1.0 + k * (jac @ dj))) * np.outer(dj, dj)
+    return h_start
 
 
 def _make_shape(positions, frames, config: ManipulatorConfig) -> Shape:
@@ -417,8 +462,8 @@ def _bfgs(evaluate, x: np.ndarray, h_start: np.ndarray) -> tuple[int, np.ndarray
 
     Each iteration steps along ``-H g`` with the strong-Wolfe ``_line_search``,
     whose first trial ``min(1, 2.02 (f - f_prev) / slope)`` would repeat the
-    last decrease, and updates ``H`` by the rank-two BFGS formula in O(n^2),
-    which keeps a symmetric ``H`` exactly symmetric.  Stops at a gradient
+    last decrease, and updates ``H`` by ``_bfgs_correction`` in O(n^2), which
+    keeps a symmetric ``H`` exactly symmetric.  Stops at a gradient
     infinity norm of 0.3 * GRAD_TOL_MJ_PER_RAD, after MAX_ITERATIONS or when
     no step is found.  Returns the iteration count and the last ``H``.
     """
@@ -443,19 +488,30 @@ def _bfgs(evaluate, x: np.ndarray, h_start: np.ndarray) -> tuple[int, np.ndarray
         iterations += 1
         if np.abs(g).max() <= gtol or not s.any():  # a zero step cannot move again
             break
-        # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T, expanded to rank two;
-        # rho = 1000 guards y.s = 0
-        ys = y @ s
-        rho = 1000.0 if ys == 0.0 else 1.0 / ys
-        hy = h_inv @ y
-        ss = np.outer(s, s)
-        ss *= rho * rho * (y @ hy) + rho
-        h_inv += ss
-        shy = np.outer(s, hy)
-        shy = shy + shy.T
-        shy *= rho
-        h_inv -= shy
+        h_inv += _bfgs_correction(h_inv, s, y)
     return iterations, h_inv
+
+
+def _bfgs_correction(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """What the BFGS update (Nocedal & Wright, eq. 6.17) adds to the inverse
+    Hessian ``h_inv`` for the step ``s`` and gradient change ``y``.
+
+    ``(I - rho s y^T) H (I - rho y s^T) + rho s s^T - H`` is
+    ``a p p^T - (rho^2 / a) Hy Hy^T`` with ``a = rho^2 y^T H y + rho`` and
+    ``p = s - (rho / a) Hy``, that is ``u u^T - v v^T`` with ``u = sqrt(a) p``
+    and ``v = (rho / sqrt(a)) Hy``.  It is formed as one product of the
+    ``n x 2`` matrix ``[u v]`` and the rows ``u, -v``, whose (i, j) and (j, i)
+    entries sum the same two products in the same order, so a symmetric
+    ``h_inv`` stays exactly symmetric.  ``rho = 1000`` guards ``y.s <= 0``,
+    which the strong Wolfe conditions leave only to rounding.
+    """
+    ys = y @ s
+    rho = 1000.0 if ys <= 0.0 else 1.0 / ys
+    hy = h_inv @ y
+    root_a = math.sqrt(rho * rho * (y @ hy) + rho)
+    v = (rho / root_a) * hy
+    u = root_a * s - v
+    return np.array((u, v)).T @ np.array((u, -v))
 
 
 def solve_equilibrium(config: ManipulatorConfig, actuation: ActuationState,
@@ -464,8 +520,10 @@ def solve_equilibrium(config: ManipulatorConfig, actuation: ActuationState,
     """Minimize total energy over the rod strains: one BFGS solve (``_bfgs``)
     on the analytic gradient.  ``warm_start`` (strains) and ``warm_hess_inv``
     (a report's ``hess_inv``, left unmodified) carry a neighbouring solve's
-    minimizer and learnt curvature; the inverse Hessian otherwise starts as
-    the inverse elastic diagonal, ``L / [EI, EI, GJ]`` per element.
+    minimizer and learnt curvature.  Without ``warm_hess_inv`` the inverse
+    Hessian starts from ``_start_hess_inv`` at the start strains, the elastic
+    diagonal with the taut tendon's stiff direction, whose kernel call
+    ``evaluations`` counts.
 
     Converged means the gradient infinity norm (mJ/rad, w.r.t. per-element
     rotation vectors) is at or below GRAD_TOL_MJ_PER_RAD.  Slow convergence
@@ -481,16 +539,18 @@ def solve_equilibrium(config: ManipulatorConfig, actuation: ActuationState,
             raise DimensionMismatch(f"warm_start must have {3 * n_el} entries")
         x = warm.reshape(-1) * length
     if warm_hess_inv is None:
-        h_start = np.diag(np.tile(length / rod.stiff, n_el))
+        h_start = _start_hess_inv(x, rod)
+        evaluations = 1  # the kernel call that found J
     else:
         h_start = np.asarray(warm_hess_inv, dtype=float)
         if h_start.shape != (3 * n_el, 3 * n_el):
             raise DimensionMismatch(f"warm_hess_inv must be {3 * n_el} x {3 * n_el}")
+        evaluations = 0
+    start = "cold" if warm_start is None else "last" if warm_hess_inv is None else "predicted"
 
     # The result is the evaluated point with the smallest gradient, not the last
     # iterate: the energy (~1e2-1e3 mJ) is only good to ~1e-12 mJ, so near a
     # minimizer the line search can reject an already stationary trial point.
-    evaluations = 0
     best = None  # (gradient inf norm, point, energy, tendon path)
 
     def evaluate(p):
@@ -518,13 +578,14 @@ def solve_equilibrium(config: ManipulatorConfig, actuation: ActuationState,
         tendon_path_length_mm=float(path),
         dof=(x.reshape(n_el, 3) / length),
         hess_inv=hess_inv,
+        start=start,
     )
 
 
 class WarmStartCache:
     """Thread-safe memo of solved actuations plus the most recent report,
-    whose ``hess_inv`` starts the next solve.  Only that last slot keeps
-    ``hess_inv`` (3n x 3n); the memoised reports drop it."""
+    whose ``hess_inv`` starts the next predicted solve.  Only that last slot
+    keeps ``hess_inv`` (3n x 3n); the memoised reports drop it."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -548,9 +609,11 @@ class WarmStartCache:
         the coordinate most of them vary, the Lagrange quadratic through the
         minimizers of the three nearest (the line through two) predicts the
         strains at ``actuation``'s value: the predictor step of Allgower &
-        Georg, Numerical Continuation Methods, ch. 2, which BFGS corrects.
-        With fewer than two neighbours on it the start is the most recent
-        minimizer.  ``hess_inv`` is always the most recent report's.
+        Georg, Numerical Continuation Methods, ch. 2, which BFGS corrects,
+        starting from the most recent report's ``hess_inv``.  With fewer than
+        two neighbours on it the start is the most recent minimizer, and no
+        ``hess_inv`` is carried: that curvature was learnt at another actuation,
+        and the solve starts from ``_start_hess_inv`` at the new one.
         """
         key = self._key(actuation)
         with self._lock:
@@ -565,7 +628,7 @@ class WarmStartCache:
                 paths.setdefault(moved[0], []).append((other[moved[0]], report.dof))
         axis = max(paths, key=lambda i: len(paths[i]), default=None)
         if axis is None or len(paths[axis]) < 2:
-            return last.dof, last.hess_inv
+            return last.dof, None
         x = key[axis]
         near = sorted(paths[axis], key=lambda node: abs(node[0] - x))[:3]
         start = sum(math.prod((x - xj) / (xi - xj) for xj, _ in near if xj != xi) * dof

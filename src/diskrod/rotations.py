@@ -17,6 +17,11 @@ SMALL_ANGLE = 1e-4
 # is off by ~3e-5 w^6, so both hold ~1e-10 at this switch
 DERIVATIVE_SMALL_ANGLE = 0.1
 _EYE = np.eye(3)
+# psi @ _HAT is hat(psi) row by row, flattened: each entry picks one component
+# of psi, or none, with its sign
+_HAT = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+                 [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+                 [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -47,9 +52,11 @@ def coefficients(psi: np.ndarray):
     w = np.where(small, 1.0, omega) if any_small else omega  # closed forms stay finite
     s, c = np.sin(w), np.cos(w)
     one_c, w_s = 1.0 - c, w - s
-    c1, c2, c3 = s / w, one_c / w**2, w_s / w**3
-    d2 = (w * s - 2.0 * one_c) / w**4
-    d3 = (w * one_c - 3.0 * w_s) / w**5
+    sq = w * w
+    cube, fourth = sq * w, sq * sq
+    c1, c2, c3 = s / w, one_c / sq, w_s / cube
+    d2 = (w * s - 2.0 * one_c) / fourth
+    d3 = (w * one_c - 3.0 * w_s) / (fourth * w)
     if any_small:
         c1 = np.where(small, 1.0 - w2 / 6.0 + w2 * w2 / 120.0, c1)
         c2 = np.where(small, 0.5 - w2 / 24.0 + w2 * w2 / 720.0, c2)
@@ -64,11 +71,7 @@ def coefficients(psi: np.ndarray):
 def exp_so3(psi: np.ndarray, coeffs) -> np.ndarray:
     """Rodrigues formula: ``(n, 3, 3)`` rotation matrices of the rows of psi."""
     c1, c2 = coeffs[0][:, None, None], coeffs[1][:, None, None]
-    px, py, pz = psi[:, 0], psi[:, 1], psi[:, 2]
-    k = np.zeros((len(psi), 3, 3))  # hat(psi): row i is e_i x psi
-    k[:, 0, 1], k[:, 0, 2] = -pz, py
-    k[:, 1, 0], k[:, 1, 2] = pz, -px
-    k[:, 2, 0], k[:, 2, 1] = -py, px
+    k = (psi @ _HAT).reshape(-1, 3, 3)  # hat(psi): row i is e_i x psi
     # hat(psi)^2 = psi psi^T - |psi|^2 I
     kk = psi[:, :, None] * psi[:, None, :] - np.einsum("ij,ij->i", psi, psi)[:, None, None] * _EYE
     return _EYE + c1 * k + c2 * kk

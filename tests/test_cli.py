@@ -53,6 +53,7 @@ def test_simulate_roundtrip(tmp_path, config):
     assert np.abs(curve.points - reference.shape.dense_curve.points).max() <= 1e-6
     report = json.loads((out / "equilibrium_report.json").read_text())
     assert report["converged"] is True
+    assert report["start"] == "cold"
     manifest = json.loads((out / "simulate_manifest.json").read_text())
     assert set(manifest["outputs"]) >= {"disk_centers.csv", "dense_curve.csv",
                                         "equilibrium_report.json"}

@@ -14,7 +14,7 @@ from diskrod.model import (ActuationState, ManipulatorConfig, WarmStartCache,
                            forward, slack_path_length, solve_equilibrium,
                            total_energy)
 from diskrod.model import _energy_and_gradient, _line_search, _rod
-from diskrod.rotations import SMALL_ANGLE
+from diskrod.rotations import SMALL_ANGLE, exp_so3
 from conftest import actuation
 
 
@@ -464,12 +464,18 @@ def test_warm_chain_converges_below_the_energy_noise_floor(config, chain):
             direct = solve_equilibrium(config, act, warm_start=dof, warm_hess_inv=start)
             assert np.array_equal(warm.dof, direct.dof)
             assert abs(warm.energy_mj - solve_equilibrium(config, act).energy_mj) <= 1e-9
-            # the solve left the matrix it started from as it was, and carries
-            # on an exactly symmetric, positive definite one
+            assert warm.start == ("cold" if dof is None
+                                  else "last" if start is None else "predicted")
+            # the solve left the matrix it started from as it was; the matrix
+            # it carries on and the tendon-aware start at its start strains
+            # are exactly symmetric and positive definite
             assert kept is None or np.array_equal(start, kept)
-            _, carried = cache.start_for(act)
-            assert np.array_equal(carried, carried.T)
-            np.linalg.cholesky(carried)
+            x0 = np.zeros(3 * config.n_elements) if dof is None else dof.reshape(-1)
+            h0 = model._start_hess_inv(x0 * config.element_length_mm,
+                                       model._actuated_rod(config, act))
+            for matrix in (direct.hess_inv, h0):
+                assert np.array_equal(matrix, matrix.T)
+                np.linalg.cholesky(matrix)
 
 
 def test_cache_carries_a_symmetric_positive_definite_hess_inv(config):
@@ -477,36 +483,84 @@ def test_cache_carries_a_symmetric_positive_definite_hess_inv(config):
     chain = [actuation(100.0, d5=-70.0), actuation(100.0, d5=-75.0), actuation(103.0, d5=-75.0)]
     for act in chain:
         forward(config, act, cache)
-    # chain[-1]'s one memoised neighbour is no path, so the start is the last minimizer
-    dof, hess_inv = cache.start_for(chain[-1])
-    assert np.array_equal(dof, cache.lookup(chain[-1]).dof)
-    assert hess_inv.shape == (3 * config.n_elements,) * 2
-    assert np.array_equal(hess_inv, hess_inv.T)  # exactly, not to rounding
-    np.linalg.cholesky(hess_inv)
+    # chain[-1]'s one memoised neighbour is no path, so the start is the last
+    # minimizer, which carries no matrix
+    dof, carried = cache.start_for(chain[-1])
+    assert np.array_equal(dof, cache.lookup(chain[-1]).dof) and carried is None
+    # a path prediction through chain[1:] carries the last report's matrix
+    _, hess_inv = cache.start_for(actuation(106.0, d5=-75.0))
+    h0 = model._start_hess_inv(dof.reshape(-1) * config.element_length_mm,
+                               model._actuated_rod(config, chain[-1]))
+    for matrix in (hess_inv, h0):
+        assert matrix.shape == (3 * config.n_elements,) * 2
+        assert np.array_equal(matrix, matrix.T)  # exactly, not to rounding
+        np.linalg.cholesky(matrix)
     assert all(cache.lookup(act).hess_inv is None for act in chain)
 
 
-def test_cold_solve_starts_from_the_elastic_diagonal_and_warm_from_the_cache(config):
+def test_cold_solve_starts_from_the_tendon_inverse_hessian_and_warm_from_the_cache(config):
     act = actuation(100.0, d5=-70.0)
-    stiff = np.array([config.bending_stiffness, config.bending_stiffness,
-                      config.torsion_stiffness])
-    elastic = np.diag(np.tile(config.element_length_mm / stiff, config.n_elements))
+    h0 = model._start_hess_inv(np.zeros(3 * config.n_elements), model._actuated_rod(config, act))
     cold = solve_equilibrium(config, act)
-    explicit = solve_equilibrium(config, act, warm_hess_inv=elastic)
+    explicit = solve_equilibrium(config, act, warm_hess_inv=h0)
     assert np.array_equal(cold.dof, explicit.dof)
     assert np.array_equal(cold.hess_inv, explicit.hess_inv)
-    assert cold.evaluations == explicit.evaluations
+    assert cold.evaluations == explicit.evaluations + 1  # the call that finds J
+    assert cold.start == explicit.start == "cold"
 
     cache = WarmStartCache()
     forward(config, act, cache)
     nxt = actuation(100.0, d5=-72.0)
     dof, hess_inv = cache.start_for(nxt)
+    assert hess_inv is None  # one neighbour: the last minimizer, no carried matrix
     forward(config, nxt, cache)
     warm = cache.lookup(nxt)
     direct = solve_equilibrium(config, nxt, warm_start=dof, warm_hess_inv=hess_inv)
     assert np.array_equal(warm.dof, direct.dof)
     assert warm.evaluations == direct.evaluations
-    assert np.array_equal(cache.start_for(nxt)[1], direct.hess_inv)
+    assert warm.start == direct.start == "last"
+    # the next probe on the path through both carries nxt's final matrix
+    assert np.array_equal(cache.start_for(actuation(100.0, d5=-74.0))[1], direct.hess_inv)
+
+
+def test_start_hess_inv_is_the_inverse_of_the_tendon_gauss_newton_hessian(config):
+    act = actuation(100.0, d5=-70.0)
+    rod = model._actuated_rod(config, act)
+    psi = np.random.default_rng(8).normal(0.0, 0.03, 3 * config.n_elements)
+    path, jac = model._tendon_path_gradient(psi, rod)
+    assert path > rod.l_ref  # taut
+    h = 1e-5
+    for i in range(len(psi)):
+        up, dn = psi.copy(), psi.copy()
+        up[i] += h
+        dn[i] -= h
+        fd = (_energy_and_gradient(up, rod, want_grad=False)[2]
+              - _energy_and_gradient(dn, rod, want_grad=False)[2]) / (2 * h)
+        assert jac[i] == pytest.approx(fd, rel=1e-6, abs=1e-7)
+    diag = np.tile(rod.length / rod.stiff, rod.n_el)
+    expected = np.linalg.inv(np.diag(1.0 / diag) + rod.k_t * np.outer(jac, jac))
+    h0 = model._start_hess_inv(psi, rod)
+    assert np.abs(h0 - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_start_hess_inv_of_a_slack_tendon_is_the_elastic_diagonal(config, solve_cached):
+    # the 100 mm pull's minimizer shortens the hole path below the slack length
+    psi = solve_cached(100.0).dof.reshape(-1) * config.element_length_mm
+    rod = model._actuated_rod(config, ActuationState(0.0))
+    path, _ = model._tendon_path_gradient(psi, rod)
+    assert path < rod.l_ref
+    diag = np.tile(rod.length / rod.stiff, rod.n_el)
+    assert np.array_equal(model._start_hess_inv(psi, rod), np.diag(diag))
+
+
+def test_cold_solve_takes_fewer_kernel_calls_than_from_the_elastic_diagonal(config):
+    act = actuation(100.0, d5=-70.0)
+    rod = model._actuated_rod(config, act)
+    elastic = solve_equilibrium(config, act,
+                                warm_hess_inv=np.diag(np.tile(rod.length / rod.stiff, rod.n_el)))
+    cold = solve_equilibrium(config, act)
+    assert cold.converged and elastic.converged
+    assert cold.evaluations < elastic.evaluations
 
 
 def test_predicted_starts_take_fewer_kernel_calls_than_the_last_minimizer(config):
@@ -545,7 +599,7 @@ def test_start_for_one_neighbour_is_the_last_minimizer():
     last = _stored([5.0, 7.0], hess_inv)
     cache.store(actuation(90.0, d2=-10.0), last)  # differs from the query in two coordinates
     dof, carried = cache.start_for(actuation(20.0, d5=30.0))
-    assert dof is last.dof and carried is hess_inv
+    assert dof is last.dof and carried is None
 
 
 def test_start_for_two_neighbours_is_the_line_through_them():
@@ -681,6 +735,43 @@ def test_line_search_stops_at_the_energy_noise_floor():
     x = np.zeros(1)
     assert _line_search(evaluate, x, np.ones(1), f0, np.array([-1e-12]), 1.0) is None
     assert len(points) == 1
+
+
+# ----------------------------------------- frame scan and BFGS update
+
+@pytest.mark.parametrize("scale", [0.01, 0.1, 1.0])
+def test_scanned_frames_match_the_sequential_product(scale):
+    psi = np.random.default_rng(21).normal(0.0, scale, (32, 3))
+    _, frames, coeffs = model._propagate(psi, 17.5)
+    rotations = exp_so3(psi, coeffs)
+    sequential = np.empty_like(frames)
+    sequential[0] = np.eye(3)
+    for k, rot in enumerate(rotations):
+        sequential[k + 1] = sequential[k] @ rot
+    # each of the n products rounds by about one ulp of entries <= 1
+    tol = len(psi) * np.finfo(float).eps
+    assert np.abs(frames - sequential).max() <= tol
+    assert np.abs(frames @ frames.transpose(0, 2, 1) - np.eye(3)).max() <= tol
+    assert frames.flags.c_contiguous and frames[1:].flags.c_contiguous
+
+
+def test_bfgs_correction_is_the_symmetric_rank_two_update():
+    rng = np.random.default_rng(4)
+    n = 96
+    a = rng.normal(size=(n, n))
+    h = a @ a.T / n + np.eye(n)
+    h = np.triu(h) + np.triu(h, 1).T  # exactly symmetric
+    for _ in range(20):
+        s, y = rng.normal(size=(2, n))
+        if y @ s < 0.0:
+            y = -y
+        rho = 1.0 / (y @ s)
+        left = np.eye(n) - rho * np.outer(s, y)
+        expected = left @ h @ left.T + rho * np.outer(s, s)  # eq. 6.17
+        updated = h + model._bfgs_correction(h, s, y)
+        assert np.abs(updated - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.array_equal(updated, updated.T)
+        h = updated
 
 
 # ----------------------------------------------- gradient property tests
