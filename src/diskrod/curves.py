@@ -156,54 +156,72 @@ def fd_weights(x: np.ndarray, z: float | np.ndarray, max_order: int) -> np.ndarr
     return c
 
 
-def ct_profile(curve: Curve3D) -> CTProfile:
-    """Curvature and torsion from chord-parameterized derivatives.
-
-    kappa = |r' x r''| / |r'|^3 and tau = (r' x r'') . r''' / |r' x r''|^2,
-    with r', r'' from 3-point and r''' from 5-point nonuniform stencils
-    (one-sided at the ends).  Samples with |r' x r''|^2 < EPS_CROSS get
-    kappa_valid=False and tau=0.
+def curvature(curve: Curve3D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Curvature channel of ``ct_profile``: kappa = |r' x r''| / |r'|^3 per
+    sample, with r', r'' from 3-point nonuniform stencils (one-sided at the
+    ends), returned with r' x r'' and |r' x r''|^2, which the torsion reads.
     """
     pts, s, n = curve.points, curve.s, curve.n
-    w5_size = min(5, n)  # a 4-point curve still determines a third derivative
     idx3 = np.clip(np.arange(n) - 1, 0, n - 3)[:, None] + np.arange(3)
-    idx5 = np.clip(np.arange(n) - 2, 0, n - w5_size)[:, None] + np.arange(w5_size)
     w3 = fd_weights(s[idx3], s, 2)
-    w5 = fd_weights(s[idx5], s, 3)
     # stacked matmuls round like one sample's BLAS dot (einsum and sum do not)
     # and float_power like scalar C pow: each sample keeps its one-at-a-time bits
     r1 = (w3[:, 1, None, :] @ pts[idx3])[:, 0]
     r2 = (w3[:, 2, None, :] @ pts[idx3])[:, 0]
-    r3 = (w5[:, 3, None, :] @ pts[idx5])[:, 0]
     cr = np.cross(r1, r2)
     cr2 = (cr[:, None, :] @ cr[:, :, None])[:, 0, 0]
     speed = np.sqrt((r1[:, None, :] @ r1[:, :, None])[:, 0, 0])
-    kappa = np.sqrt(cr2) / np.float_power(speed, 3)
+    return np.sqrt(cr2) / np.float_power(speed, 3), cr, cr2
+
+
+def ct_profile(curve: Curve3D) -> CTProfile:
+    """Curvature and torsion from chord-parameterized derivatives.
+
+    kappa from ``curvature``, and tau = (r' x r'') . r''' / |r' x r''|^2 with
+    r''' from 5-point nonuniform stencils (one-sided at the ends).  Samples
+    with |r' x r''|^2 < EPS_CROSS get kappa_valid=False and tau=0.
+    """
+    pts, s, n = curve.points, curve.s, curve.n
+    kappa, cr, cr2 = curvature(curve)
+    w5_size = min(5, n)  # a 4-point curve still determines a third derivative
+    idx5 = np.clip(np.arange(n) - 2, 0, n - w5_size)[:, None] + np.arange(w5_size)
+    w5 = fd_weights(s[idx5], s, 3)
+    r3 = (w5[:, 3, None, :] @ pts[idx5])[:, 0]
     valid = cr2 >= EPS_CROSS
     tau = np.zeros(n)
     tau[valid] = (cr[valid, None, :] @ r3[valid, :, None])[:, 0, 0] / cr2[valid]
     return CTProfile(s=s.copy(), kappa=kappa, tau=tau, kappa_valid=valid)
 
 
+def smooth_curvature(s: np.ndarray, kappa: np.ndarray) -> CTProfile:
+    """Curvature channel of ``smooth_profile``: the smoothing-spline fit of
+    the curvature samples ``kappa`` at arc positions ``s`` on a uniform arc
+    grid, clipped at 0, as a curvature-only profile (tau 0, no valid grid
+    point).  Needs >= 4 samples.
+    """
+    if len(s) < 4:
+        raise TooFewValidSamples("curvature channel needs >= 4 samples")
+    grid = np.linspace(s[0], s[-1], GRID_POINTS)
+    return CTProfile(s=grid, kappa=np.clip(_spline_fit(s, kappa, grid, s), 0.0, None),
+                     tau=np.zeros(GRID_POINTS), kappa_valid=np.zeros(GRID_POINTS, dtype=bool))
+
+
 def smooth_profile(profile: CTProfile) -> CTProfile:
     """Replace kappa/tau by smoothing-spline fits on a uniform arc grid.
 
-    The curvature channel is fit on all samples; the torsion channel only on
-    samples where it is defined (after the TAU_RELIABILITY_FLOOR clamp), and
-    grid points outside the defined range keep the tau=0 sentinel.  A profile
-    with fewer than 4 defined torsion samples (a curve too straight to define
-    torsion, such as an unactuated hanging backbone) gets a curvature-only
-    result: tau 0 and no valid grid point.
+    The curvature channel (``smooth_curvature``) is fit on all samples; the
+    torsion channel only on samples where it is defined (after the
+    TAU_RELIABILITY_FLOOR clamp), and grid points outside the defined range
+    keep the tau=0 sentinel.  A profile with fewer than 4 defined torsion
+    samples (a curve too straight to define torsion, such as an unactuated
+    hanging backbone) gets the curvature-only result.
     """
-    if profile.n < 4:
-        raise TooFewValidSamples("curvature channel needs >= 4 samples")
-    grid = np.linspace(profile.s[0], profile.s[-1], GRID_POINTS)
-    kappa = np.clip(_spline_fit(profile.s, profile.kappa, grid, profile.s), 0.0, None)
-    tau_g = np.zeros_like(grid)
+    curvature_only = smooth_curvature(profile.s, profile.kappa)
     if np.count_nonzero(profile.kappa_valid) < 4:
-        return CTProfile(s=grid, kappa=kappa, tau=tau_g,
-                         kappa_valid=np.zeros(len(grid), dtype=bool))
+        return curvature_only
 
+    grid = curvature_only.s
+    tau_g = np.zeros(GRID_POINTS)
     sv = profile.s[profile.kappa_valid]
     tv = profile.tau[profile.kappa_valid].copy()
     kv = profile.kappa[profile.kappa_valid]
@@ -213,7 +231,7 @@ def smooth_profile(profile: CTProfile) -> CTProfile:
         tv = np.clip(tv, -ceiling, ceiling)
     in_range = (grid >= sv[0]) & (grid <= sv[-1])
     tau_g[in_range] = _spline_fit(sv, tv, grid[in_range], profile.s)
-    return CTProfile(s=grid, kappa=kappa, tau=tau_g, kappa_valid=in_range)
+    return CTProfile(s=grid, kappa=curvature_only.kappa, tau=tau_g, kappa_valid=in_range)
 
 
 def _solve_pentadiagonal(bands, rhs) -> np.ndarray:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (THRESHOLD_REL, CrossingDirection, CTProfile, Curve3D,
-                     SignChange, ct_profile, smooth_profile,
-                     torsion_sign_changes)
+                     SignChange, ct_profile, curvature, smooth_curvature,
+                     smooth_profile, torsion_sign_changes)
 from .errors import SolverNotConverged
 from .model import (TENDON_MAX_MM, ActuationState, ManipulatorConfig, Shape,
                     WarmStartCache, forward)
@@ -113,6 +113,15 @@ class MatchResult:
         }
 
 
+def _profile_samples(curve: Curve3D, config: ManipulatorConfig,
+                     n_samples: int | None) -> Curve3D:
+    """The samples ``analysis_profile`` profiles."""
+    if n_samples == 0:
+        return curve
+    count = config.n_disks if n_samples is None else n_samples
+    return Curve3D(curve.at(np.linspace(0.0, curve.length, count)))
+
+
 def analysis_profile(curve: Curve3D, config: ManipulatorConfig,
                      n_samples: int | None = None) -> CTProfile:
     """Smoothed curvature/torsion profile at disk-center sample density.
@@ -125,12 +134,16 @@ def analysis_profile(curve: Curve3D, config: ManipulatorConfig,
     straight to define torsion anywhere (an unactuated hanging backbone)
     degrades to a curvature-only profile with no torsion information.
     """
-    if n_samples == 0:
-        pts = curve.points
-    else:
-        count = config.n_disks if n_samples is None else n_samples
-        pts = curve.at(np.linspace(0.0, curve.length, count))
-    return smooth_profile(ct_profile(Curve3D(pts)))
+    return smooth_profile(ct_profile(_profile_samples(curve, config, n_samples)))
+
+
+def curvature_rmse(target_profile: CTProfile, curve: Curve3D,
+                   config: ManipulatorConfig) -> float:
+    """Step 2's score, ``rmse_curvature(target_profile, analysis_profile(curve,
+    config))``, from the curvature channel alone: ``rmse_curvature`` reads
+    no torsion."""
+    samples = _profile_samples(curve, config, None)
+    return rmse_curvature(target_profile, smooth_curvature(samples.s, curvature(samples)[0]))
 
 
 def _probe(spec: GoldenSearchSpec, seed: float, state_at, score, label,
@@ -197,8 +210,7 @@ def step2_tendon(target_profile: CTProfile, hyps: list[DiskHypothesis],
     return _probe(
         spec, 0.0,
         lambda delta: ActuationState(tendon_mm=float(delta), disk_angles_deg=angles),
-        lambda shape: rmse_curvature(
-            target_profile, analysis_profile(shape.dense_curve, config)),
+        lambda shape: curvature_rmse(target_profile, shape.dense_curve, config),
         lambda delta: f"step2 (tendon {delta:.2f} mm)",
         config, cache)
 
@@ -261,8 +273,8 @@ def match_shape(target: Curve3D, config: ManipulatorConfig,
     The target's ``analysis_profile`` (read by steps 1 and 2) and its
     corresponding centers (read by steps 3 and 4) are taken once, here.
     """
-    if target.n < 10:
-        raise ValueError(f"target needs >= 10 samples, got {target.n}")
+    if target.n < config.n_disks:
+        raise ValueError(f"target needs >= {config.n_disks} samples, got {target.n}")
     span = target.length / config.backbone_length_mm
     if not 0.9 <= span <= 1.05:
         raise ValueError(
@@ -288,7 +300,6 @@ def match_shape(target: Curve3D, config: ManipulatorConfig,
         stages=stages,
         target_centers=target_centers,
         shape_rmse_cm=rmse_shape(target_centers, attained.disk_centers),
-        curvature_rmse_per_cm=rmse_curvature(
-            target_profile, analysis_profile(attained.dense_curve, config)),
+        curvature_rmse_per_cm=curvature_rmse(target_profile, attained.dense_curve, config),
         tip_error_mm=tip_error(target_centers, attained.disk_centers),
     )

@@ -14,6 +14,7 @@ spaced one segment apart, disk ``n_disks`` is the tip.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import threading
@@ -35,6 +36,7 @@ LINE_SEARCH_TRIALS = 30         # energy evaluations one line search may spend
 NOISE_FLOOR_ULPS = 64           # spacings of |f0| within which a predicted decrease is rounding
 # gravitational energy in mJ = mass[g] * g[m/s^2] * height[mm] * 1e-3
 _GRAV_MJ = 1e-3
+_EYE = np.eye(3)
 
 
 def _is_real(value) -> bool:
@@ -186,9 +188,10 @@ class EquilibriumReport:
 def _propagate(psi: np.ndarray, length: float):
     """Node positions, node frames and the rotation coefficients of the
     per-element rotation vectors ``psi`` (n_elements, 3), elements ``length`` mm."""
+    n = len(psi)
     coeffs = coefficients(psi)
-    frames = np.empty((len(psi) + 1, 3, 3))
-    frames[0] = np.eye(3)
+    frames = np.empty((n + 1, 3, 3))
+    frames[0] = _EYE
     # frame k + 1 is the prefix product R_0 ... R_k of the element rotations,
     # by a doubling scan (Hillis & Steele): after the pass with shift s each
     # entry holds the product of the up to 2s rotations ending at it, so
@@ -196,12 +199,12 @@ def _propagate(psi: np.ndarray, length: float):
     prefix = frames[1:]
     prefix[...] = exp_so3(psi, coeffs)
     shift = 1
-    while shift < len(psi):
+    while shift < n:
         prefix[shift:] = prefix[:-shift] @ prefix[shift:]
         shift *= 2
     steps = length * left_jacobian_tangent(psi, coeffs)
-    positions = np.zeros((len(psi) + 1, 3))
-    np.cumsum(np.einsum("kij,kj->ki", frames[:-1], steps), axis=0, out=positions[1:])
+    positions = np.zeros((n + 1, 3))
+    np.add.accumulate(np.einsum("kij,kj->ki", frames[:-1], steps), axis=0, out=positions[1:])
     return positions, frames, coeffs
 
 
@@ -227,26 +230,44 @@ def _tendon_holes(centers, frames, local):
     return centers + offsets, offsets[1:]
 
 
-def slack_path_length(config: ManipulatorConfig, actuation: ActuationState) -> float:
-    """Tendon path length through the holes with the backbone straight: the
-    base plate and disks hang along -z with identity frames.  Every solve
-    starts here, so this is where the disk-angle count is checked."""
-    if len(actuation.disk_angles_deg) != config.n_disks:
-        raise DimensionMismatch(
-            f"{len(actuation.disk_angles_deg)} disk angles for {config.n_disks} disks")
+@functools.lru_cache(maxsize=16)
+def _straight_rows(config: ManipulatorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and frames of the base plate and disks 1..n on the straight
+    rod, which hangs along -z with identity frames; built once per config."""
     rows = _disk_row_indices(config)
     centers = np.zeros((len(rows), 3))
     centers[:, 2] = -rows * config.element_length_mm
-    holes, _ = _tendon_holes(centers, np.broadcast_to(np.eye(3), (len(rows), 3, 3)),
-                             _local_holes(np.deg2rad(actuation.disk_angles_deg),
-                                          config.tendon_hole_radius_mm))
-    return float(np.linalg.norm(np.diff(holes, axis=0), axis=1).sum())
+    centers.flags.writeable = False
+    return centers, np.broadcast_to(_EYE, (len(rows), 3, 3))
+
+
+def _slack_path(config: ManipulatorConfig, local_holes: np.ndarray) -> float:
+    """Tendon path length through the holes ``local_holes`` on the straight rod."""
+    holes, _ = _tendon_holes(*_straight_rows(config), local_holes)
+    edges = holes[1:] - holes[:-1]
+    return float(np.add.reduce(np.sqrt(np.add.reduce(edges * edges, axis=1))))
+
+
+def _actuation_holes(config: ManipulatorConfig, actuation: ActuationState) -> np.ndarray:
+    """``_local_holes`` of the actuation's disk angles.  Every solve starts
+    here, so this is where the disk-angle count is checked."""
+    if len(actuation.disk_angles_deg) != config.n_disks:
+        raise DimensionMismatch(
+            f"{len(actuation.disk_angles_deg)} disk angles for {config.n_disks} disks")
+    return _local_holes(np.deg2rad(actuation.disk_angles_deg), config.tendon_hole_radius_mm)
+
+
+def slack_path_length(config: ManipulatorConfig, actuation: ActuationState) -> float:
+    """Tendon path length through the holes with the backbone straight: the
+    base plate and disks hang along -z with identity frames."""
+    return _slack_path(config, _actuation_holes(config, actuation))
 
 
 @dataclass(frozen=True, eq=False)
 class _Rod:
     """What ``_energy_and_gradient`` needs besides the strains: one config
-    under one actuation, built once per solve."""
+    under one actuation.  All but ``local_holes`` and ``l_ref`` are the
+    config's, built once per config (``_rod_constants``)."""
 
     n_el: int
     length: float              # element length, mm
@@ -261,34 +282,41 @@ class _Rod:
     k_t: float                 # tendon stiffness, N/mm
 
 
+@functools.lru_cache(maxsize=16)
+def _rod_constants(config: ManipulatorConfig) -> dict:
+    """The ``_Rod`` fields that depend on the config alone, as read-only
+    arrays: built once per config, shared by every rod of it."""
+    gravity = np.array(config.gravity_m_per_s2)
+    masses = config.node_masses_g()
+    stiff = np.array([config.bending_stiffness, config.bending_stiffness,
+                      config.torsion_stiffness])
+    gravity_force = np.outer(masses, -_GRAV_MJ * gravity)
+    rows = _disk_row_indices(config)
+    for array in (gravity, masses, stiff, gravity_force, rows):
+        array.flags.writeable = False
+    return dict(n_el=config.n_elements, length=config.element_length_mm, stiff=stiff,
+                gravity=gravity, masses=masses, gravity_force=gravity_force, rows=rows,
+                per_segment=config.elements_per_segment,
+                k_t=config.tendon_stiffness_n_per_mm)
+
+
 def _rod(config: ManipulatorConfig, theta_rad: np.ndarray, l_ref: float) -> _Rod:
     """Kernel constants for disk angles ``theta_rad`` and tendon rest length ``l_ref``."""
-    gravity = np.asarray(config.gravity_m_per_s2)
-    masses = config.node_masses_g()
-    return _Rod(
-        n_el=config.n_elements,
-        length=config.element_length_mm,
-        stiff=np.array([config.bending_stiffness, config.bending_stiffness,
-                        config.torsion_stiffness]),
-        gravity=gravity,
-        masses=masses,
-        gravity_force=np.outer(masses, -_GRAV_MJ * gravity),
-        rows=_disk_row_indices(config),
-        per_segment=config.elements_per_segment,
-        local_holes=_local_holes(theta_rad, config.tendon_hole_radius_mm),
-        l_ref=l_ref,
-        k_t=config.tendon_stiffness_n_per_mm,
-    )
+    return _Rod(**_rod_constants(config), l_ref=l_ref,
+                local_holes=_local_holes(theta_rad, config.tendon_hole_radius_mm))
 
 
 def _actuated_rod(config: ManipulatorConfig, actuation: ActuationState) -> _Rod:
     """Kernel constants for an actuation: its disk angles and tendon rest length."""
-    return _rod(config, np.deg2rad(actuation.disk_angles_deg),
-                slack_path_length(config, actuation) - actuation.tendon_mm)
+    local = _actuation_holes(config, actuation)
+    return _Rod(**_rod_constants(config), local_holes=local,
+                l_ref=_slack_path(config, local) - actuation.tendon_mm)
 
 
 def _energy_and_gradient(psi_flat: np.ndarray, rod: _Rod, want_grad: bool = True):
-    """Total energy (mJ) and its gradient w.r.t. per-element rotation vectors.
+    """Total energy (mJ), its gradient w.r.t. per-element rotation vectors
+    (None unless ``want_grad``), the tendon path length (mm), and the node
+    positions and frames of ``_propagate`` at ``psi_flat``.
 
     The gradient treats each element's rotation vector as the coordinate;
     perturbing element k moves everything distal to it rigidly, so the
@@ -303,30 +331,30 @@ def _energy_and_gradient(psi_flat: np.ndarray, rod: _Rod, want_grad: bool = True
 
     positions, frames, coeffs = _propagate(psi, length)
 
-    e_elastic = float(np.sum(psi * psi * rod.stiff) / (2.0 * length))
+    e_elastic = float(np.add.reduce(psi * psi * rod.stiff, axis=None) / (2.0 * length))
 
     e_gravity = -_GRAV_MJ * float(rod.masses @ (positions @ rod.gravity))
 
     # tendon path through holes at the current deformation
     holes, radials = _tendon_holes(positions[rod.rows], frames[rod.rows], rod.local_holes)
     edges = holes[1:] - holes[:-1]
-    edge_len = np.linalg.norm(edges, axis=1)
-    path = float(edge_len.sum())
+    edge_len = np.sqrt(np.add.reduce(edges * edges, axis=1))
+    path = float(np.add.reduce(edge_len))
     stretch = path - rod.l_ref
     taut = stretch > 0.0
     e_tendon = 0.5 * rod.k_t * stretch**2 if taut else 0.0
 
     energy = e_elastic + e_gravity + e_tendon
     if not want_grad:
-        return energy, None, path
+        return energy, None, path, positions, frames
 
     # point forces dE/dq at nodes: gravity, and the taut tendon at the disk
     # holes, each pulled back along the edge before it and on along the one
     # after it (the base anchor's reaction does not enter)
     node_force = rod.gravity_force.copy()  # (n_nodes, 3)
-    node_torque = np.zeros_like(node_force)
+    node_torque = np.zeros(node_force.shape)
     if taut:
-        unit = np.divide(edges, edge_len[:, None], out=np.zeros_like(edges),
+        unit = np.divide(edges, edge_len[:, None], out=np.zeros(edges.shape),
                          where=edge_len[:, None] > 1e-12)
         hole_force = (rod.k_t * stretch) * unit
         hole_force[:-1] -= hole_force[1:]
@@ -336,9 +364,9 @@ def _energy_and_gradient(psi_flat: np.ndarray, rod: _Rod, want_grad: bool = True
 
     # backward sweep: force/torque resultants over nodes >= j, as reversed
     # running sums; the torque about node j steps by (p[j+1] - p[j]) x S[j+1]
-    s_force = np.cumsum(node_force[::-1], axis=0)[::-1]
+    s_force = np.add.accumulate(node_force[::-1], axis=0)[::-1]
     node_torque[:-1] += cross(positions[1:] - positions[:-1], s_force[1:])
-    s_torque = np.cumsum(node_torque[::-1], axis=0)[::-1]
+    s_torque = np.add.accumulate(node_torque[::-1], axis=0)[::-1]
 
     # chain rule per element k: the translation integral through
     # d(J_l t)/d(psi_k), the rotation through J_r(psi_k)^T = J_l(psi_k)
@@ -347,7 +375,7 @@ def _energy_and_gradient(psi_flat: np.ndarray, rod: _Rod, want_grad: bool = True
     grad = (psi * rod.stiff) / length
     grad += length * d_left_jacobian_tangent_t(psi, force_k, coeffs)
     grad += left_jacobian_apply(psi, torque_k, coeffs)
-    return energy, grad.reshape(-1), path
+    return energy, grad.reshape(-1), path, positions, frames
 
 
 def total_energy(dof, config: ManipulatorConfig, actuation: ActuationState) -> float:
@@ -361,9 +389,8 @@ def total_energy(dof, config: ManipulatorConfig, actuation: ActuationState) -> f
     if dof.size != 3 * n_el:
         raise DimensionMismatch(f"dof must have {3 * n_el} entries, got {dof.size}")
     psi = dof.reshape(n_el, 3) * config.element_length_mm
-    energy, _, _ = _energy_and_gradient(psi.reshape(-1), _actuated_rod(config, actuation),
-                                        want_grad=False)
-    return energy
+    return _energy_and_gradient(psi.reshape(-1), _actuated_rod(config, actuation),
+                                want_grad=False)[0]
 
 
 def _tendon_path_gradient(psi_flat: np.ndarray, rod: _Rod):
@@ -374,7 +401,7 @@ def _tendon_path_gradient(psi_flat: np.ndarray, rod: _Rod):
     length, times J."""
     probe = replace(rod, stiff=np.zeros(3), gravity=np.zeros(3),
                     gravity_force=np.zeros_like(rod.gravity_force), l_ref=0.0, k_t=1.0)
-    _, grad, path = _energy_and_gradient(psi_flat, probe)
+    _, grad, path, _, _ = _energy_and_gradient(psi_flat, probe)
     return path, grad / path
 
 
@@ -405,10 +432,11 @@ def _make_shape(positions, frames, config: ManipulatorConfig) -> Shape:
     # disk 1 shares the clamp with the base plate, so distance checks start at
     # the disk1-disk2 gap; an inextensible backbone can only shorten chords
     seg = config.segment_length_mm
-    gaps = np.linalg.norm(np.diff(centers[1:], axis=0), axis=1)
-    if np.any(gaps > seg * (1.0 + 1e-9)) or np.any(gaps < 0.5 * seg):
+    chords = centers[2:] - centers[1:-1]
+    gaps = np.sqrt(np.add.reduce(chords * chords, axis=1))
+    if np.maximum.reduce(gaps) > seg * (1.0 + 1e-9) or np.minimum.reduce(gaps) < 0.5 * seg:
         raise RuntimeError("solver produced an inconsistent disk chain")
-    if np.abs(fr @ fr.transpose(0, 2, 1) - np.eye(3)).max() > 1e-9:
+    if np.maximum.reduce(np.abs(fr @ fr.transpose(0, 2, 1) - _EYE), axis=None) > 1e-9:
         raise RuntimeError("solver produced a non-orthonormal frame")
     return Shape(disk_centers=centers, disk_frames=fr,
                  dense_curve=Curve3D(positions))
@@ -416,7 +444,8 @@ def _make_shape(positions, frames, config: ManipulatorConfig) -> Shape:
 
 def _line_search(evaluate, x, d, f0, g0, alpha):
     """Step length along ``d`` from ``x`` that meets the strong Wolfe
-    conditions, as ``(alpha, f, g)`` at ``x + alpha d``; None when ``d`` is no
+    conditions, as ``(alpha, f, g, |g|_inf)`` at ``x + alpha d``, where
+    ``evaluate(x) -> (energy, gradient, gradient inf norm)``; None when ``d`` is no
     descent direction, when a rejected trial's predicted decrease
     ``alpha |g0 . d|`` is within NOISE_FLOOR_ULPS spacings of ``f0`` (the
     energy cannot tell it from rounding), or when LINE_SEARCH_TRIALS
@@ -439,14 +468,14 @@ def _line_search(evaluate, x, d, f0, g0, alpha):
             curve = hi[1] - lo[1] - lo[2] * width
             t = -0.5 * lo[2] * width / curve if curve > 0.0 else 0.5
             alpha = lo[0] + (t if 0.1 <= t <= 0.9 else 0.5) * width
-        f, g = evaluate(x + alpha * d)
+        f, g, g_norm = evaluate(x + alpha * d)
         slope = g @ d
         if f > f0 + WOLFE_C1 * alpha * slope0 or f >= lo[1]:
             if -alpha * slope0 <= NOISE_FLOOR_ULPS * np.spacing(abs(f0)):
                 return None
             hi = (alpha, f, slope)
         elif abs(slope) <= -WOLFE_C2 * slope0:
-            return alpha, f, g
+            return alpha, f, g, g_norm
         elif hi is None and slope < 0.0:
             lo, alpha = (alpha, f, slope), 2.0 * alpha
         else:
@@ -456,37 +485,41 @@ def _line_search(evaluate, x, d, f0, g0, alpha):
     return None
 
 
-def _bfgs(evaluate, x: np.ndarray, h_start: np.ndarray) -> tuple[int, np.ndarray]:
-    """BFGS on ``evaluate(x) -> (energy, gradient)`` from ``x`` and the inverse
-    Hessian ``h_start``, which is left unmodified.
+def _bfgs(evaluate, x: np.ndarray, h_start) -> tuple[int, np.ndarray | None]:
+    """BFGS on ``evaluate(x) -> (energy, gradient, gradient inf norm)`` from
+    ``x``.  ``h_start()`` gives the inverse Hessian to start from, an array
+    this updates in place; it is called only once a first step is needed.
 
     Each iteration steps along ``-H g`` with the strong-Wolfe ``_line_search``,
     whose first trial ``min(1, 2.02 (f - f_prev) / slope)`` would repeat the
     last decrease, and updates ``H`` by ``_bfgs_correction`` in O(n^2), which
     keeps a symmetric ``H`` exactly symmetric.  Stops at a gradient
     infinity norm of 0.3 * GRAD_TOL_MJ_PER_RAD, after MAX_ITERATIONS or when
-    no step is found.  Returns the iteration count and the last ``H``.
+    no step is found.  Returns the iteration count and the last ``H``, None
+    when ``x`` already meets the stop test.
     """
-    h_inv = h_start.copy()
     gtol = 0.3 * GRAD_TOL_MJ_PER_RAD
-    f, g = evaluate(x)
+    f, g, g_norm = evaluate(x)
+    if g_norm <= gtol:
+        return 0, None
+    h_inv = h_start()
     f_prev = f + np.linalg.norm(g) / 2  # the first step guess moves about 1 rad
     iterations = 0
-    while np.abs(g).max() > gtol and iterations < MAX_ITERATIONS:
+    while iterations < MAX_ITERATIONS:
         direction = -(h_inv @ g)
         slope = g @ direction
         alpha = min(1.0, 2.02 * (f - f_prev) / slope) if slope < 0.0 and f < f_prev else 1.0
         step = _line_search(evaluate, x, direction, f, g, alpha)
         if step is None:
             break
-        alpha, f_new, g_new = step
+        alpha, f_new, g_new, g_norm = step
         f_prev, f = f, f_new
         s = alpha * direction
         x = x + s
         y = g_new - g
         g = g_new
         iterations += 1
-        if np.abs(g).max() <= gtol or not s.any():  # a zero step cannot move again
+        if g_norm <= gtol or not s.any():  # a zero step cannot move again
             break
         h_inv += _bfgs_correction(h_inv, s, y)
     return iterations, h_inv
@@ -522,8 +555,11 @@ def solve_equilibrium(config: ManipulatorConfig, actuation: ActuationState,
     (a report's ``hess_inv``, left unmodified) carry a neighbouring solve's
     minimizer and learnt curvature.  Without ``warm_hess_inv`` the inverse
     Hessian starts from ``_start_hess_inv`` at the start strains, the elastic
-    diagonal with the taut tendon's stiff direction, whose kernel call
-    ``evaluations`` counts.
+    diagonal with the taut tendon's stiff direction, formed only once BFGS
+    takes a first step; ``evaluations`` counts its kernel call.  A solve whose
+    start already meets the stop test reports ``warm_hess_inv`` as its
+    ``hess_inv``.  The shape is built from the positions and frames the
+    kernel computed at the returned point.
 
     Converged means the gradient infinity norm (mJ/rad, w.r.t. per-element
     rotation vectors) is at or below GRAD_TOL_MJ_PER_RAD.  Slow convergence
@@ -538,46 +574,48 @@ def solve_equilibrium(config: ManipulatorConfig, actuation: ActuationState,
         if warm.size != 3 * n_el:
             raise DimensionMismatch(f"warm_start must have {3 * n_el} entries")
         x = warm.reshape(-1) * length
-    if warm_hess_inv is None:
-        h_start = _start_hess_inv(x, rod)
-        evaluations = 1  # the kernel call that found J
-    else:
-        h_start = np.asarray(warm_hess_inv, dtype=float)
-        if h_start.shape != (3 * n_el, 3 * n_el):
+    if warm_hess_inv is not None:
+        warm_hess_inv = np.asarray(warm_hess_inv, dtype=float)
+        if warm_hess_inv.shape != (3 * n_el, 3 * n_el):
             raise DimensionMismatch(f"warm_hess_inv must be {3 * n_el} x {3 * n_el}")
-        evaluations = 0
     start = "cold" if warm_start is None else "last" if warm_hess_inv is None else "predicted"
+    evaluations = 0
+
+    def h_start():
+        nonlocal evaluations
+        if warm_hess_inv is not None:
+            return warm_hess_inv.copy()
+        evaluations += 1  # the kernel call that finds J
+        return _start_hess_inv(x, rod)
 
     # The result is the evaluated point with the smallest gradient, not the last
     # iterate: the energy (~1e2-1e3 mJ) is only good to ~1e-12 mJ, so near a
     # minimizer the line search can reject an already stationary trial point.
-    best = None  # (gradient inf norm, point, energy, tendon path)
+    best = None  # (gradient inf norm, point, energy, tendon path, positions, frames)
 
     def evaluate(p):
         nonlocal evaluations, best
         evaluations += 1
-        e, g, path = _energy_and_gradient(p, rod)
+        e, g, path, positions, frames = _energy_and_gradient(p, rod)
         if not np.isfinite(e):
             raise NonFiniteEnergy(f"energy {e} after {evaluations} evaluations")
-        g_norm = float(np.abs(g).max())
+        g_norm = float(np.maximum.reduce(np.abs(g)))
         if best is None or g_norm < best[0]:
-            best = (g_norm, p, e, path)
-        return e, g
+            best = (g_norm, p, e, path, positions, frames)
+        return e, g, g_norm
 
     iterations, hess_inv = _bfgs(evaluate, x, h_start)
-    gradient_inf_norm, x, energy, path = best
-    positions, frames, _ = _propagate(x.reshape(n_el, 3), length)
-    shape = _make_shape(positions, frames, config)
+    gradient_inf_norm, point, energy, path, positions, frames = best
     return EquilibriumReport(
-        shape=shape,
+        shape=_make_shape(positions, frames, config),
         energy_mj=float(energy),
         gradient_inf_norm=gradient_inf_norm,
         iterations=iterations,
         evaluations=evaluations,
         converged=gradient_inf_norm <= GRAD_TOL_MJ_PER_RAD,
         tendon_path_length_mm=float(path),
-        dof=(x.reshape(n_el, 3) / length),
-        hess_inv=hess_inv,
+        dof=(point.reshape(n_el, 3) / length),
+        hess_inv=warm_hess_inv if hess_inv is None else hess_inv,
         start=start,
     )
 
@@ -610,7 +648,8 @@ class WarmStartCache:
         minimizers of the three nearest (the line through two) predicts the
         strains at ``actuation``'s value: the predictor step of Allgower &
         Georg, Numerical Continuation Methods, ch. 2, which BFGS corrects,
-        starting from the most recent report's ``hess_inv``.  With fewer than
+        starting from the most recent report's ``hess_inv`` (None when that
+        solve took no step and was given none).  With fewer than
         two neighbours on it the start is the most recent minimizer, and no
         ``hess_inv`` is carried: that curvature was learnt at another actuation,
         and the solve starts from ``_start_hess_inv`` at the new one.

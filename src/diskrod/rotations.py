@@ -37,18 +37,18 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def coefficients(psi: np.ndarray):
-    """Per-row ``(c1, c2, c3, d2, d3)`` of the rotation vectors ``psi``.
+    """Per-row ``(c1, c2, c3, d2, d3, w2)`` of the rotation vectors ``psi``.
 
     With w = |psi|: c1 = sin w/w, c2 = (1-cos w)/w^2, c3 = (w-sin w)/w^3,
-    d2 = c2'(w)/w and d3 = c3'(w)/w; rows with w < SMALL_ANGLE take the
-    series for c1, c2, c3, and rows with w < DERIVATIVE_SMALL_ANGLE take them
-    for d2, d3.  The series stay finite at w = 0, and are evaluated only when
+    d2 = c2'(w)/w, d3 = c3'(w)/w and w2 = w^2, which ``exp_so3`` reads too;
+    rows with w < SMALL_ANGLE take the series for c1, c2, c3, and rows with
+    w < DERIVATIVE_SMALL_ANGLE take them for d2, d3.  The series stay finite at w = 0, and are evaluated only when
     some row needs them.
     """
     w2 = np.einsum("ij,ij->i", psi, psi)
     omega = np.sqrt(w2)
     small = omega < SMALL_ANGLE
-    any_small = small.any()
+    any_small = np.logical_or.reduce(small)
     w = np.where(small, 1.0, omega) if any_small else omega  # closed forms stay finite
     s, c = np.sin(w), np.cos(w)
     one_c, w_s = 1.0 - c, w - s
@@ -62,10 +62,10 @@ def coefficients(psi: np.ndarray):
         c2 = np.where(small, 0.5 - w2 / 24.0 + w2 * w2 / 720.0, c2)
         c3 = np.where(small, 1.0 / 6.0 - w2 / 120.0 + w2 * w2 / 5040.0, c3)
     near = omega < DERIVATIVE_SMALL_ANGLE
-    if near.any():
+    if np.logical_or.reduce(near):
         d2 = np.where(near, -1.0 / 12.0 + w2 / 180.0 - w2 * w2 / 6720.0, d2)
         d3 = np.where(near, -1.0 / 60.0 + w2 / 1260.0 - w2 * w2 / 60480.0, d3)
-    return c1, c2, c3, d2, d3
+    return c1, c2, c3, d2, d3, w2
 
 
 def exp_so3(psi: np.ndarray, coeffs) -> np.ndarray:
@@ -73,7 +73,7 @@ def exp_so3(psi: np.ndarray, coeffs) -> np.ndarray:
     c1, c2 = coeffs[0][:, None, None], coeffs[1][:, None, None]
     k = (psi @ _HAT).reshape(-1, 3, 3)  # hat(psi): row i is e_i x psi
     # hat(psi)^2 = psi psi^T - |psi|^2 I
-    kk = psi[:, :, None] * psi[:, None, :] - np.einsum("ij,ij->i", psi, psi)[:, None, None] * _EYE
+    kk = psi[:, :, None] * psi[:, None, :] - coeffs[5][:, None, None] * _EYE
     return _EYE + c1 * k + c2 * kk
 
 
@@ -97,7 +97,7 @@ TANGENT = np.array([0.0, 0.0, -1.0])
 
 def left_jacobian_tangent(psi: np.ndarray, coeffs) -> np.ndarray:
     """J_l(psi) t for the tangent t = (0, 0, -1), row by row."""
-    _, c2, c3, _, _ = coeffs
+    _, c2, c3, _, _, _ = coeffs
     px, py, pz = psi[:, 0], psi[:, 1], psi[:, 2]
     out = np.empty(psi.shape)
     out[:, 0] = -(c2 * py) - c3 * (pz * px)
@@ -115,7 +115,7 @@ def d_left_jacobian_tangent_t(psi: np.ndarray, u: np.ndarray, coeffs) -> np.ndar
     + psi (d2 (psi x t).u + d3 (psi x (psi x t)).u), with t x v = (vy, -vx, 0)
     and (psi x t) x u = (px uz, py uz, -py uy - px ux).
     """
-    _, c2, c3, d2, d3 = coeffs
+    _, c2, c3, d2, d3, _ = coeffs
     px, py, pz = psi[:, 0], psi[:, 1], psi[:, 2]
     ux, uy, uz = u[:, 0], u[:, 1], u[:, 2]
     qx = py * uz - pz * uy  # psi x u, whose z is not needed

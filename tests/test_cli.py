@@ -369,6 +369,22 @@ def test_match_truncated_target(tmp_path, capsys):
     assert not (tmp_path / "m200").exists()
 
 
+def test_cluster_then_match_recovers_va_from_a_stylus_cloud(tmp_path, solve_cached):
+    # the measurement loop: 1000 touches with 1 mm noise around va's nine disk
+    # centers, clustered into one centroid per disk, matched as the target
+    va = solve_cached(100.0, (0, 0, 0, 0, -70.0, 0, 0, 0, 0)).shape.disk_centers[1:]
+    rng = np.random.default_rng(0)
+    cloud = np.concatenate([c + rng.normal(0.0, 1.0, (111, 3)) for c in va])
+    raw = tmp_path / "raw.csv"
+    write_curve_csv(raw, cloud[rng.permutation(len(cloud))])
+    assert run_cli("cluster", str(raw), "--expect", "9", "--out-dir", str(tmp_path / "cl")) == 0
+    assert run_cli("match", str(tmp_path / "cl" / "centroids.csv"),
+                   "--out-dir", str(tmp_path / "m")) == 0
+    angles = json.loads((tmp_path / "m" / "match_result.json").read_text())["disk_angles_deg"]
+    assert angles[4] < 0.0  # disk 5, turned the way va turns it
+    assert [d for d in range(1, 8) if angles[d - 1] != 0.0] == [5]
+
+
 def test_match_deterministic_and_complete(tmp_path, fast_config_path, fast_match):
     target_path, shared = fast_match
     out = tmp_path / "m"

@@ -48,11 +48,39 @@ def test_step1_two_disks(vb_target, config):
 
 def test_match_requires_full_span(config, va_target):
     short = Curve3D(va_target.points[:5])
-    with pytest.raises(ValueError, match="needs >= 10 samples"):
+    with pytest.raises(ValueError, match="needs >= 9 samples, got 5"):
         match_shape(short, config)
     straight = Curve3D([(0.0, 0.0, -10.0 * k) for k in range(21)])
     with pytest.raises(ValueError, match="does not span"):
         match_shape(straight, config)
+
+
+def test_step2_score_is_the_analysis_profile_rmse(config, solve_cached, va_target, vb_target,
+                                                  monkeypatch):
+    # step 2 computes the curvature channel alone: its score is the full
+    # profile's curvature RMSE bit for bit, and its raw kappa the per-sample oracle
+    import diskrod.matching as matching
+    from test_curves import ct_profile_per_sample
+    probes = [solve_cached(106.95, actuation(106.95, d5=-90.0).disk_angles_deg),
+              solve_cached(120.0, actuation(120.0, d4=90.0, d6=-90.0).disk_angles_deg),
+              solve_cached(0.0)]  # va's and vb's step-2 states, and the straight rod
+    raw = []
+    curvature = matching.curvature
+
+    def recorded(curve):
+        raw.append((curve, curvature(curve)))
+        return raw[-1][1]
+
+    monkeypatch.setattr(matching, "curvature", recorded)
+    for target in (va_target, vb_target):
+        profile = analysis_profile(target, config)
+        for probe in probes:
+            curve = probe.shape.dense_curve
+            score = matching.curvature_rmse(profile, curve, config)
+            assert score == rmse_curvature(profile, analysis_profile(curve, config))
+            samples, (kappa, _, _) = raw[-1]
+            assert samples.n == config.n_disks
+            assert np.array_equal(kappa, ct_profile_per_sample(samples)[0])
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])

@@ -1,3 +1,4 @@
+import sys
 import threading
 import warnings
 
@@ -148,7 +149,7 @@ def test_energy_uniform_bend_closed_form(config):
     elastic = 0.5 * config.bending_stiffness * kappa ** 2 * 560.0
     # subtract gravity of the reconstructed bent shape and slack-tendon term
     psi = dof * config.element_length_mm
-    energy, _, path = _energy_and_gradient(
+    energy, _, path, _, _ = _energy_and_gradient(
         psi.reshape(-1), _rod(config, np.zeros(9), slack_path_length(config, act)),
         want_grad=False)
     assert e == pytest.approx(energy)
@@ -175,14 +176,14 @@ def test_gradient_matches_finite_differences(config):
     rod = _rod(config, np.deg2rad(act.disk_angles_deg),
                slack_path_length(config, act) - act.tendon_mm)
     psi = rng.normal(0.0, 0.04, 3 * config.n_elements)
-    _, grad, _ = _energy_and_gradient(psi, rod)
+    _, grad, _, _, _ = _energy_and_gradient(psi, rod)
     h = 1e-6
     for i in rng.choice(len(psi), size=12, replace=False):
         up, dn = psi.copy(), psi.copy()
         up[i] += h
         dn[i] -= h
-        eu, _, _ = _energy_and_gradient(up, rod, want_grad=False)
-        ed, _, _ = _energy_and_gradient(dn, rod, want_grad=False)
+        eu, _, _, _, _ = _energy_and_gradient(up, rod, want_grad=False)
+        ed, _, _, _, _ = _energy_and_gradient(dn, rod, want_grad=False)
         assert grad[i] == pytest.approx((eu - ed) / (2 * h), rel=1e-5, abs=1e-8)
 
 
@@ -288,8 +289,8 @@ def test_energy_consistency_of_report(config, solve_cached):
         up, dn = psi.copy(), psi.copy()
         up[i] += h
         dn[i] -= h
-        eu, _, _ = _energy_and_gradient(up, rod, want_grad=False)
-        ed, _, _ = _energy_and_gradient(dn, rod, want_grad=False)
+        eu, _, _, _, _ = _energy_and_gradient(up, rod, want_grad=False)
+        ed, _, _, _, _ = _energy_and_gradient(dn, rod, want_grad=False)
         fd[i] = (eu - ed) / (2 * h)
     fd_norm = np.abs(fd).max()
     assert abs(report.gradient_inf_norm - fd_norm) <= 0.1 * max(fd_norm, 1e-4)
@@ -468,12 +469,15 @@ def test_warm_chain_converges_below_the_energy_noise_floor(config, chain):
                                   else "last" if start is None else "predicted")
             # the solve left the matrix it started from as it was; the matrix
             # it carries on and the tendon-aware start at its start strains
-            # are exactly symmetric and positive definite
+            # are exactly symmetric and positive definite.  A solve that
+            # takes no step (the slack cold start) forms no matrix
             assert kept is None or np.array_equal(start, kept)
             x0 = np.zeros(3 * config.n_elements) if dof is None else dof.reshape(-1)
             h0 = model._start_hess_inv(x0 * config.element_length_mm,
                                        model._actuated_rod(config, act))
-            for matrix in (direct.hess_inv, h0):
+            if direct.hess_inv is None:
+                assert direct.iterations == 0 and start is None
+            for matrix in (h0,) if direct.hess_inv is None else (direct.hess_inv, h0):
                 assert np.array_equal(matrix, matrix.T)
                 np.linalg.cholesky(matrix)
 
@@ -653,23 +657,126 @@ def test_report_counts_every_kernel_call(config, monkeypatch):
     assert solve_equilibrium(config, act).evaluations == first.evaluations
 
 
+def _solve_recording_points(config, monkeypatch, act, **start):
+    """A solve, and every point its kernel calls evaluated."""
+    points = []
+    kernel = model._energy_and_gradient
+
+    def recorded(psi_flat, *args, **kwargs):
+        points.append(psi_flat)
+        return kernel(psi_flat, *args, **kwargs)
+
+    monkeypatch.setattr(model, "_energy_and_gradient", recorded)
+    report = solve_equilibrium(config, act, **start)
+    monkeypatch.setattr(model, "_energy_and_gradient", kernel)
+    return report, points
+
+
+@pytest.mark.parametrize("tendon_mm, disks, warm", [
+    (100.0, dict(d5=-70.0), False), (131.0, dict(d4=87.0, d6=-55.0), False),
+    (100.0, dict(d5=-72.0), True)], ids=["va", "vb", "warm"])
+def test_shape_is_the_propagated_returned_point(config, solve_cached, monkeypatch,
+                                                tendon_mm, disks, warm):
+    # the shape comes from the kernel's own positions and frames at the point
+    # whose strains the report returns, as a second _propagate would give them
+    act = actuation(tendon_mm, **disks)
+    start = {}
+    if warm:
+        va = solve_cached(100.0, actuation(100.0, d5=-70.0).disk_angles_deg)
+        start = dict(warm_start=va.dof, warm_hess_inv=va.hess_inv)
+    report, points = _solve_recording_points(config, monkeypatch, act, **start)
+    length = config.element_length_mm
+    returned = [p for p in points
+                if np.array_equal(p.reshape(config.n_elements, 3) / length, report.dof)]
+    assert returned
+    positions, frames, _ = model._propagate(returned[0].reshape(config.n_elements, 3), length)
+    rows = np.concatenate(([0], config.disk_node_indices))
+    assert np.array_equal(report.shape.dense_curve.points, positions)
+    assert np.array_equal(report.shape.disk_centers, positions[rows])
+    assert np.array_equal(report.shape.disk_frames, frames[rows])
+
+
+def test_straight_rod_costs_one_kernel_call(config, monkeypatch):
+    # the slack rod hangs at equilibrium from the start: no step, so no J call
+    # and no matrix, or the matrix it was given
+    act = ActuationState(0.0)
+    report, points = _solve_recording_points(config, monkeypatch, act)
+    assert len(points) == report.evaluations == 1
+    assert report.iterations == 0 and report.converged and report.hess_inv is None
+    given = np.eye(3 * config.n_elements)
+    warm = solve_equilibrium(config, act, warm_hess_inv=given)
+    assert warm.evaluations == 1 and np.array_equal(warm.hess_inv, given)
+
+
+@pytest.mark.parametrize("other", [dict(disk_mass_g=25.0),
+                                   dict(gravity_m_per_s2=(0.0, 5.886, -7.848))],
+                         ids=["disk_mass", "gravity"])
+def test_each_config_gets_its_own_rod_constants(config, other):
+    alt = ManipulatorConfig(**other)
+    act = actuation(100.0, d5=-70.0)
+    dof = np.random.default_rng(5).normal(0.0, 1e-3, (config.n_elements, 3))
+    energies = {}
+    for cfg in (config, alt, config, alt):  # interleaved, so each reads its own
+        masses = cfg.node_masses_g()
+        gravity = np.asarray(cfg.gravity_m_per_s2)
+        direct = model._Rod(
+            n_el=cfg.n_elements, length=cfg.element_length_mm,
+            stiff=np.array([cfg.bending_stiffness, cfg.bending_stiffness,
+                            cfg.torsion_stiffness]),
+            gravity=gravity, masses=masses, gravity_force=np.outer(masses, -1e-3 * gravity),
+            rows=np.concatenate(([0], cfg.disk_node_indices)),
+            per_segment=cfg.elements_per_segment,
+            local_holes=model._local_holes(np.deg2rad(act.disk_angles_deg),
+                                           cfg.tendon_hole_radius_mm),
+            l_ref=slack_path_length(cfg, act) - act.tendon_mm,
+            k_t=cfg.tendon_stiffness_n_per_mm)
+        expected = _energy_and_gradient((dof * cfg.element_length_mm).reshape(-1), direct,
+                                        want_grad=False)[0]
+        assert total_energy(dof, cfg, act) == expected
+        energies[cfg] = expected
+    assert energies[config] != energies[alt]
+
+
+def test_kernel_makes_few_python_level_calls(config, solve_cached):
+    # numpy's Python wrappers (norm, cumsum, sum, zeros_like, eye, ...) cost a
+    # few microseconds each on a ~150 us call; count every Python and C call
+    # that one kernel call makes at va's minimizer
+    act = actuation(100.0, d5=-70.0)
+    psi = solve_cached(100.0, act.disk_angles_deg).dof.reshape(-1) * config.element_length_mm
+    rod = model._actuated_rod(config, act)
+    events = []
+
+    def profile(frame, event, arg):
+        if event in ("call", "c_call"):
+            events.append(event)
+
+    sys.setprofile(profile)
+    try:
+        _energy_and_gradient(psi, rod)
+    finally:
+        sys.setprofile(None)
+    assert len(events) <= 73
+
+
 # ------------------------------------------------ strong-Wolfe line search
 
 def _counted_quadratic(a, b):
-    """``0.5 x^T A x - b^T x`` with its gradient; records each point asked for."""
+    """``0.5 x^T A x - b^T x`` with its gradient and the gradient's infinity
+    norm; records each point asked for."""
     points = []
 
     def evaluate(x):
         points.append(x.copy())
-        return 0.5 * x @ a @ x - b @ x, a @ x - b
+        g = a @ x - b
+        return 0.5 * x @ a @ x - b @ x, g, np.abs(g).max()
     return evaluate, points
 
 
 def _assert_strong_wolfe(evaluate, x, d, step):
-    f0, g0 = evaluate(x)
-    alpha, f, g = step
-    f_at, g_at = evaluate(x + alpha * d)
-    assert f == f_at and np.array_equal(g, g_at)
+    f0, g0, _ = evaluate(x)
+    alpha, f, g, g_norm = step
+    f_at, g_at, norm_at = evaluate(x + alpha * d)
+    assert f == f_at and np.array_equal(g, g_at) and g_norm == norm_at
     assert alpha > 0.0
     assert f <= f0 + model.WOLFE_C1 * alpha * (g0 @ d)
     assert abs(g @ d) <= model.WOLFE_C2 * abs(g0 @ d)
@@ -681,7 +788,8 @@ def _counted_quartic():
 
     def evaluate(x):
         points.append(x.copy())
-        return float(np.sum(x**4 / 4 - x)), x**3 - 1
+        g = x**3 - 1
+        return float(np.sum(x**4 / 4 - x)), g, np.abs(g).max()
     return evaluate, points
 
 
@@ -694,7 +802,7 @@ def _counted_quartic():
 def test_line_search_zooms_back_from_an_overshooting_first_trial(problem, start, alpha):
     evaluate, points = problem()
     x = np.array(start)
-    f0, g0 = evaluate(x)
+    f0, g0, _ = evaluate(x)
     d = -g0
     step = _line_search(evaluate, x, d, f0, g0, alpha)
     assert step is not None and step[0] < alpha
@@ -705,7 +813,7 @@ def test_line_search_zooms_back_from_an_overshooting_first_trial(problem, start,
 def test_line_search_doubles_a_short_first_trial():
     evaluate, points = _counted_quadratic(np.eye(1), np.array([100.0]))
     x = np.zeros(1)
-    f0, g0 = evaluate(x)
+    f0, g0, _ = evaluate(x)
     d = np.ones(1)
     # the slope along d is alpha - 100: it first drops below 0.9 * 100 at 16
     step = _line_search(evaluate, x, d, f0, g0, 1.0)
@@ -717,7 +825,7 @@ def test_line_search_doubles_a_short_first_trial():
 def test_line_search_refuses_an_ascent_direction():
     evaluate, points = _counted_quadratic(np.eye(2), np.zeros(2))
     x = np.array([1.0, -2.0])
-    f0, g0 = evaluate(x)
+    f0, g0, _ = evaluate(x)
     assert _line_search(evaluate, x, g0, f0, g0, 1.0) is None
     assert len(points) == 1
 
@@ -730,7 +838,7 @@ def test_line_search_stops_at_the_energy_noise_floor():
 
     def evaluate(x):
         points.append(x.copy())
-        return (f0 if not x.any() else f0 + np.spacing(f0)), np.array([-1e-12])
+        return (f0 if not x.any() else f0 + np.spacing(f0)), np.array([-1e-12]), 1e-12
 
     x = np.zeros(1)
     assert _line_search(evaluate, x, np.ones(1), f0, np.array([-1e-12]), 1.0) is None
@@ -799,7 +907,7 @@ def _check_gradient_off_the_kink(psi, angles, taut, margin):
     theta = np.deg2rad(angles)
     path = _energy_and_gradient(psi, _rod(_FINE, theta, 0.0), want_grad=False)[2]
     rod = _rod(_FINE, theta, path - margin if taut else path + margin)
-    _, grad, _ = _energy_and_gradient(psi, rod)
+    _, grad, _, _, _ = _energy_and_gradient(psi, rod)
     fd = _central_difference_gradient(psi, rod)
     np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6 * max(1.0, np.abs(fd).max()))
 

@@ -97,7 +97,7 @@ def test_left_jacobian_is_the_mean_rotation(batch):
 def d_left_jacobian_apply_t(psi, a, u, coeffs):
     """(d(J_l(psi) a)/d(psi))^T u for any a: the generic products that the
     tangent map writes out by component, kept here as its reference."""
-    _, c2, c3, d2, d3 = (c[:, None] for c in coeffs)
+    _, c2, c3, d2, d3, _ = (c[:, None] for c in coeffs)
     pa = cross(psi, a)
     ppa = cross(psi, pa)
     along = d2 * np.sum(pa * u, axis=1, keepdims=True) + d3 * np.sum(ppa * u, axis=1, keepdims=True)
